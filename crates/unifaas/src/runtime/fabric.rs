@@ -1,10 +1,9 @@
 //! The fabric runtime: one client path over every live backend.
 //!
-//! [`FabricRuntime`] is the wire-level sibling of
-//! [`LiveRuntime`](crate::runtime::live::LiveRuntime): the same
-//! future-composition programming model and the same exactly-once
-//! coordination machinery — attempt-generation guards, a straggler
-//! watchdog, health-filtered placement — but speaking
+//! [`FabricRuntime`] drives the same exactly-once
+//! [`coord`](crate::runtime::coord) state machine as
+//! [`LiveRuntime`](crate::runtime::live::LiveRuntime) — attempt-generation
+//! guards, a straggler watchdog, health-filtered placement — but speaks
 //! [`fedci::fabric::Fabric`], so the identical code drives in-process
 //! worker pools ([`ThreadedFabric`](fedci::fabric::ThreadedFabric)) and
 //! process-isolated TCP endpoints
@@ -32,68 +31,23 @@
 //!   endpoint via Recovering, and attempt outcomes keep their usual
 //!   weight in between. Placement filters on both.
 
-use crate::error::UniFaasError;
 use crate::monitor::{HealthMonitor, HealthState};
+use crate::runtime::coord::{record_outcome, Coord, Next, PendingTask, TaskFuture};
 use fedci::endpoint::EndpointId;
 use fedci::fabric::{Fabric, JobSpec, ProbeState};
 use parking_lot::{Condvar, Mutex};
 use simkit::time::SimTime;
 use simkit::trace::{LabelId, TraceLevel, Tracer};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use taskgraph::TaskId;
 
-pub use crate::runtime::live::LiveRetryPolicy;
+pub use crate::runtime::coord::LiveRetryPolicy;
 
 /// Result bytes of one task.
 pub type WireResult = Result<Arc<Vec<u8>>, String>;
 
-struct FutureState {
-    cell: Mutex<Option<WireResult>>,
-    cond: Condvar,
-}
-
 /// A handle to the eventual byte result of a fabric task.
-#[derive(Clone)]
-pub struct WireFuture {
-    id: usize,
-    state: Arc<FutureState>,
-}
-
-impl WireFuture {
-    /// The task id backing this future.
-    pub fn task_id(&self) -> TaskId {
-        TaskId(self.id as u32)
-    }
-
-    /// Blocks until the task completes, returning its output bytes.
-    pub fn wait(&self) -> Result<Arc<Vec<u8>>, UniFaasError> {
-        let mut cell = self.state.cell.lock();
-        while cell.is_none() {
-            self.state.cond.wait(&mut cell);
-        }
-        match cell.as_ref().expect("checked above") {
-            Ok(v) => Ok(Arc::clone(v)),
-            Err(msg) => Err(UniFaasError::FunctionError {
-                task: self.task_id(),
-                message: msg.clone(),
-            }),
-        }
-    }
-
-    /// Non-blocking poll.
-    pub fn is_done(&self) -> bool {
-        self.state.cell.lock().is_some()
-    }
-
-    fn resolve(&self, result: WireResult) {
-        let mut cell = self.state.cell.lock();
-        debug_assert!(cell.is_none(), "future resolved twice");
-        *cell = Some(result);
-        self.state.cond.notify_all();
-    }
-}
+pub type WireFuture = TaskFuture<Arc<Vec<u8>>>;
 
 /// Labels for the client-side trace, interned once at setup so the hot
 /// path emits only ids.
@@ -173,12 +127,11 @@ fn attempt_span_id(task: usize, attempt: u32) -> u64 {
     ((task as u64) << 32) | u64::from(attempt)
 }
 
+/// What a fabric task runs: a registered function name and its payload.
 #[derive(Clone)]
-struct PendingTask {
+struct Body {
     function: Arc<str>,
     payload: Vec<u8>,
-    dep_ids: Vec<usize>,
-    remaining: usize,
 }
 
 /// Aggregate robustness statistics for one run.
@@ -195,35 +148,25 @@ pub struct FabricRunStats {
     pub watchdog_timeouts: u64,
 }
 
-struct Coord {
-    pending: HashMap<usize, PendingTask>,
-    dependents: HashMap<usize, Vec<usize>>,
-    /// Where each resolved task's output lives (endpoint, byte length).
-    produced_at: HashMap<usize, (usize, u64)>,
-    /// Output bytes of successful tasks, staged on demand to whichever
-    /// endpoint runs a dependent.
-    outputs: HashMap<usize, Arc<Vec<u8>>>,
-    next_id: usize,
-    futures: HashMap<usize, WireFuture>,
-    outstanding: usize,
-    /// Next attempt number per task (absent = first attempt).
-    attempts: HashMap<usize, u32>,
-    /// In-flight attempts: task → (start, attempt, endpoint). The attempt
-    /// number is the generation guard.
-    inflight: HashMap<usize, (Instant, u32, usize)>,
-    /// Tasks kept re-dispatchable while retries remain.
-    retriable: HashMap<usize, PendingTask>,
+/// The coordinator plus this runtime's counters, under one lock.
+struct State {
+    coord: Coord<Body, Arc<Vec<u8>>>,
     stats: FabricRunStats,
+}
+
+/// State shared with fabric completions (which run on fabric threads) and
+/// backoff timers.
+struct Inner {
+    fabric: Arc<dyn Fabric>,
+    state: Mutex<State>,
+    done_cond: Condvar,
+    health: Mutex<HealthMonitor>,
+    trace: Option<ClientTrace>,
 }
 
 /// The fabric-backed UniFaaS runtime. See the module docs.
 pub struct FabricRuntime {
-    fabric: Arc<dyn Fabric>,
-    coord: Arc<Mutex<Coord>>,
-    done_cond: Arc<Condvar>,
-    retry: LiveRetryPolicy,
-    health: Arc<Mutex<HealthMonitor>>,
-    trace: Option<Arc<ClientTrace>>,
+    inner: Arc<Inner>,
 }
 
 impl FabricRuntime {
@@ -231,24 +174,16 @@ impl FabricRuntime {
     pub fn new(fabric: Arc<dyn Fabric>) -> Self {
         let n = fabric.n_endpoints();
         FabricRuntime {
-            fabric,
-            coord: Arc::new(Mutex::new(Coord {
-                pending: HashMap::new(),
-                dependents: HashMap::new(),
-                produced_at: HashMap::new(),
-                outputs: HashMap::new(),
-                next_id: 0,
-                futures: HashMap::new(),
-                outstanding: 0,
-                attempts: HashMap::new(),
-                inflight: HashMap::new(),
-                retriable: HashMap::new(),
-                stats: FabricRunStats::default(),
-            })),
-            done_cond: Arc::new(Condvar::new()),
-            retry: LiveRetryPolicy::default(),
-            health: Arc::new(Mutex::new(HealthMonitor::new(n))),
-            trace: None,
+            inner: Arc::new(Inner {
+                fabric,
+                state: Mutex::new(State {
+                    coord: Coord::new(),
+                    stats: FabricRunStats::default(),
+                }),
+                done_cond: Condvar::new(),
+                health: Mutex::new(HealthMonitor::new(n)),
+                trace: None,
+            }),
         }
     }
 
@@ -260,7 +195,10 @@ impl FabricRuntime {
     /// (FabricRuntime::take_client_tracer) after the run.
     pub fn with_trace(mut self, level: TraceLevel) -> Self {
         if level != TraceLevel::Off {
-            self.trace = Some(Arc::new(ClientTrace::new(level, self.fabric.clock_epoch())));
+            let trace = ClientTrace::new(level, self.inner.fabric.clock_epoch());
+            Arc::get_mut(&mut self.inner)
+                .expect("configure the runtime before submitting")
+                .trace = Some(trace);
         }
         self
     }
@@ -268,7 +206,8 @@ impl FabricRuntime {
     /// Takes the client trace recorded so far, leaving a disabled tracer
     /// behind. Returns `None` when tracing was never enabled.
     pub fn take_client_tracer(&self) -> Option<Tracer> {
-        self.trace
+        self.inner
+            .trace
             .as_ref()
             .map(|t| std::mem::replace(&mut *t.tracer.lock(), Tracer::disabled()))
     }
@@ -276,72 +215,42 @@ impl FabricRuntime {
     /// Sets the retry/timeout policy (builder style). Runs on a fabric
     /// that can lose endpoints need `max_attempts > 1` and a
     /// `task_timeout`; without them a lost attempt is a final failure.
-    pub fn with_retry(mut self, policy: LiveRetryPolicy) -> Self {
+    pub fn with_retry(self, policy: LiveRetryPolicy) -> Self {
         assert!(policy.max_attempts >= 1, "need at least one attempt");
-        self.retry = policy;
+        self.inner.state.lock().coord.retry = policy;
         self
     }
 
     /// Current health state of endpoint `i`.
     pub fn endpoint_health(&self, i: usize) -> HealthState {
-        self.health.lock().state(EndpointId(i as u16))
+        self.inner.health.lock().state(EndpointId(i as u16))
     }
 
     /// The underlying fabric.
     pub fn fabric(&self) -> &Arc<dyn Fabric> {
-        &self.fabric
+        &self.inner.fabric
     }
 
     /// Run statistics so far.
     pub fn stats(&self) -> FabricRunStats {
-        self.coord.lock().stats
+        self.inner.state.lock().stats
     }
 
     /// Submits one task: run `function` over the concatenation of the
     /// dependencies' outputs (in order) and `payload`. Returns
     /// immediately with a future.
     pub fn submit(&self, function: &str, payload: Vec<u8>, deps: &[&WireFuture]) -> WireFuture {
-        let mut coord = self.coord.lock();
-        let id = coord.next_id;
-        coord.next_id += 1;
-        let future = WireFuture {
-            id,
-            state: Arc::new(FutureState {
-                cell: Mutex::new(None),
-                cond: Condvar::new(),
-            }),
-        };
-        coord.futures.insert(id, future.clone());
-        coord.outstanding += 1;
-
-        let dep_ids: Vec<usize> = deps.iter().map(|d| d.id).collect();
-        let unresolved: Vec<usize> = dep_ids
-            .iter()
-            .copied()
-            .filter(|d| !coord.produced_at.contains_key(d))
-            .collect();
-        let task = PendingTask {
+        let inner = &self.inner;
+        let body = Body {
             function: Arc::from(function),
             payload,
-            dep_ids,
-            remaining: unresolved.len(),
         };
-        let n_deps = task.dep_ids.len();
-        if task.remaining == 0 {
-            drop(coord);
-            if let Some(tr) = &self.trace {
-                tr.instant(tr.labels.submit, id as u64, n_deps as i64);
-            }
-            self.handle().dispatch(id, task);
-        } else {
-            for d in &unresolved {
-                coord.dependents.entry(*d).or_default().push(id);
-            }
-            coord.pending.insert(id, task);
-            drop(coord);
-            if let Some(tr) = &self.trace {
-                tr.instant(tr.labels.submit, id as u64, n_deps as i64);
-            }
+        let (future, ready) = inner.state.lock().coord.submit(body, deps);
+        if let Some(tr) = &inner.trace {
+            tr.instant(tr.labels.submit, future.id as u64, deps.len() as i64);
+        }
+        if let Some(task) = ready {
+            inner.dispatch(future.id, task);
         }
         future
     }
@@ -354,47 +263,36 @@ impl FabricRuntime {
     /// [`HealthMonitor`] (Dead ⇒ Down, Alive again ⇒ Recovering), which
     /// is how heartbeat-detected crashes steer placement.
     pub fn wait_all(&self) {
-        let Some(timeout) = self.retry.task_timeout else {
-            let mut coord = self.coord.lock();
-            while coord.outstanding > 0 {
-                self.done_cond.wait(&mut coord);
+        let inner = &self.inner;
+        let timeout = inner.state.lock().coord.retry.task_timeout;
+        let Some(timeout) = timeout else {
+            let mut state = inner.state.lock();
+            while state.coord.outstanding() > 0 {
+                inner.done_cond.wait(&mut state);
             }
             return;
         };
         let tick = (timeout / 4).max(Duration::from_millis(5));
         loop {
             self.feed_probes();
-            let overdue: Vec<(usize, usize, u32)> = {
-                let mut coord = self.coord.lock();
-                if coord.outstanding == 0 {
+            let overdue = {
+                let mut state = inner.state.lock();
+                if state.coord.outstanding() == 0 {
                     return;
                 }
-                self.done_cond.wait_for(&mut coord, tick);
-                if coord.outstanding == 0 {
+                inner.done_cond.wait_for(&mut state, tick);
+                if state.coord.outstanding() == 0 {
                     return;
                 }
-                coord
-                    .inflight
-                    .iter()
-                    .filter(|(_, (start, _, _))| start.elapsed() >= timeout)
-                    .map(|(&id, &(_, attempt, ep))| (id, ep, attempt))
-                    .collect()
+                let overdue = state.coord.overdue(Instant::now(), timeout, |_| 0);
+                state.stats.watchdog_timeouts += overdue.len() as u64;
+                overdue
             };
-            if !overdue.is_empty() {
-                self.coord.lock().stats.watchdog_timeouts += overdue.len() as u64;
-            }
-            let handle = self.handle();
-            for (id, ep, attempt) in overdue {
-                if let Some(tr) = &self.trace {
-                    tr.instant(tr.labels.timeout, id as u64, i64::from(attempt));
+            for o in overdue {
+                if let Some(tr) = &inner.trace {
+                    tr.instant(tr.labels.timeout, o.id as u64, i64::from(o.attempt));
                 }
-                handle.complete(
-                    id,
-                    ep,
-                    attempt,
-                    Err(format!("attempt {attempt} timed out after {timeout:?}")),
-                    true,
-                );
+                inner.complete(o.id, o.ep, o.attempt, Err(o.error), true);
             }
         }
     }
@@ -405,10 +303,11 @@ impl FabricRuntime {
     /// so accumulated attempt-failure evidence against a flaky-but-
     /// connected endpoint is not erased by mere liveness.
     fn feed_probes(&self) {
-        let mut h = self.health.lock();
-        for ep in 0..self.fabric.n_endpoints() {
+        let fabric = &self.inner.fabric;
+        let mut h = self.inner.health.lock();
+        for ep in 0..fabric.n_endpoints() {
             let id = EndpointId(ep as u16);
-            match self.fabric.probe(ep) {
+            match fabric.probe(ep) {
                 ProbeState::Dead => {
                     h.mark_down(id);
                 }
@@ -421,128 +320,61 @@ impl FabricRuntime {
             }
         }
     }
-
-    fn handle(&self) -> FabricHandle {
-        FabricHandle {
-            fabric: Arc::clone(&self.fabric),
-            coord: Arc::clone(&self.coord),
-            done_cond: Arc::clone(&self.done_cond),
-            retry: self.retry,
-            health: Arc::clone(&self.health),
-            trace: self.trace.clone(),
-        }
-    }
 }
 
-/// What `complete` decided under the coordinator lock; acted on outside
-/// it so dispatch and health updates never run with the lock held.
-enum Next {
-    Retry {
-        task: PendingTask,
-        backoff: Option<Duration>,
-    },
-    Finalize {
-        failed: bool,
-        ran: bool,
-        ready: Vec<(usize, PendingTask)>,
-    },
-}
-
-/// Cheap clonable view used by fabric completions (which run on fabric
-/// threads) to report outcomes and dispatch dependents.
-#[derive(Clone)]
-struct FabricHandle {
-    fabric: Arc<dyn Fabric>,
-    coord: Arc<Mutex<Coord>>,
-    done_cond: Arc<Condvar>,
-    retry: LiveRetryPolicy,
-    health: Arc<Mutex<HealthMonitor>>,
-    trace: Option<Arc<ClientTrace>>,
-}
-
-impl FabricHandle {
-    /// Reports the outcome of attempt `attempt` of task `id` on `ep`.
-    /// Stale completions — the attempt no longer matches the in-flight
-    /// record because a fail-over superseded it — are dropped.
-    fn complete(&self, id: usize, ep: usize, attempt: u32, result: WireResult, can_retry: bool) {
+impl Inner {
+    /// Reports the outcome of attempt `attempt` of task `id` on `ep`
+    /// through the coordinator, then acts on its decision outside the
+    /// lock.
+    fn complete(
+        self: &Arc<Self>,
+        id: usize,
+        ep: usize,
+        attempt: u32,
+        result: WireResult,
+        can_retry: bool,
+    ) {
         let ok = result.is_ok();
+        let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
         let next = {
-            let mut coord = self.coord.lock();
-            match coord.inflight.get(&id) {
-                Some(&(_, a, _)) if a == attempt => {}
-                _ => return, // stale or already finalized
+            let mut state = self.state.lock();
+            let next = state
+                .coord
+                .complete(id, ep, attempt, result, bytes, can_retry);
+            match next {
+                Next::Stale => return,
+                Next::Retry { .. } => state.stats.retries += 1,
+                Next::Finalize { .. } => state.stats.completed += 1,
             }
-            coord.inflight.remove(&id);
-            if result.is_err() && can_retry && attempt < self.retry.max_attempts {
-                coord.attempts.insert(id, attempt + 1);
-                coord.stats.retries += 1;
-                let task = coord
-                    .retriable
-                    .get(&id)
-                    .expect("retriable recorded")
-                    .clone();
-                Next::Retry {
-                    task,
-                    backoff: self.retry.backoff_for(attempt + 1),
-                }
-            } else {
-                coord.retriable.remove(&id);
-                coord.attempts.remove(&id);
-                let failed = result.is_err();
-                let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
-                coord.produced_at.insert(id, (ep, bytes));
-                if let Ok(out) = &result {
-                    coord.outputs.insert(id, Arc::clone(out));
-                }
-                coord.stats.completed += 1;
-                let fut = coord.futures.get(&id).expect("future exists").clone();
-                fut.resolve(result);
-                coord.outstanding -= 1;
-                if coord.outstanding == 0 {
-                    self.done_cond.notify_all();
-                }
-                let mut ready = Vec::new();
-                if let Some(deps) = coord.dependents.remove(&id) {
-                    for dep in deps {
-                        if let Some(t) = coord.pending.get_mut(&dep) {
-                            t.remaining -= 1;
-                            if t.remaining == 0 {
-                                let t = coord.pending.remove(&dep).expect("present");
-                                ready.push((dep, t));
-                            }
-                        }
-                    }
-                }
-                Next::Finalize {
-                    failed,
-                    ran: can_retry,
-                    ready,
-                }
+            if state.coord.outstanding() == 0 {
+                self.done_cond.notify_all();
             }
+            next
         };
         if let Some(tr) = &self.trace {
             tr.end(tr.labels.attempt, attempt_span_id(id, attempt));
             tr.instant(tr.labels.result, id as u64, i64::from(ok));
         }
         match next {
+            Next::Stale => {}
             Next::Retry { task, backoff } => {
                 if let Some(tr) = &self.trace {
                     tr.instant(tr.labels.retry, id as u64, i64::from(attempt + 1));
                 }
-                self.record_health(ep, false);
+                record_outcome(&mut self.health.lock(), ep, false);
                 match backoff {
                     // The completion runs on a fabric thread (often the
                     // endpoint supervisor) — sleeping there would stall
                     // heartbeats, so backoff gets its own short-lived
                     // timer thread.
-                    Some(d) if !d.is_zero() => {
-                        let this = self.clone();
+                    Some(d) => {
+                        let this = Arc::clone(self);
                         std::thread::spawn(move || {
                             std::thread::sleep(d);
                             this.dispatch(id, task);
                         });
                     }
-                    _ => self.dispatch(id, task),
+                    None => self.dispatch(id, task),
                 }
             }
             Next::Finalize { failed, ran, ready } => {
@@ -550,7 +382,7 @@ impl FabricHandle {
                     tr.instant(tr.labels.resolve, id as u64, i64::from(failed));
                 }
                 if ran {
-                    self.record_health(ep, !failed);
+                    record_outcome(&mut self.health.lock(), ep, !failed);
                 }
                 for (rid, task) in ready {
                     self.dispatch(rid, task);
@@ -559,99 +391,48 @@ impl FabricHandle {
         }
     }
 
-    fn record_health(&self, ep: usize, success: bool) {
-        let mut h = self.health.lock();
-        let id = EndpointId(ep as u16);
-        if success {
-            h.record_success(id);
-        } else {
-            h.record_failure(id);
-        }
-    }
-
-    /// Picks an endpoint: skip Dead probes and Down health states, then
-    /// maximize free workers, breaking ties toward the endpoint already
-    /// holding the most input bytes. When everything is down, falls back
-    /// to endpoint 0 — the attempt fails fast or times out and the retry
-    /// machinery keeps going until something recovers.
-    fn place(&self, coord: &Coord, task: &PendingTask) -> usize {
-        let health = self.health.lock();
-        let mut best: Option<usize> = None;
-        let mut best_key = (i64::MIN, i64::MIN);
-        for ep in 0..self.fabric.n_endpoints() {
-            if self.fabric.probe(ep) == ProbeState::Dead
-                || !health.is_schedulable(EndpointId(ep as u16))
-            {
-                continue;
-            }
-            let free = self.fabric.n_workers(ep) as i64 - self.fabric.busy_workers(ep) as i64;
-            let local_bytes: i64 = task
-                .dep_ids
-                .iter()
-                .filter_map(|d| coord.produced_at.get(d))
-                .filter(|(at, _)| *at == ep)
-                .map(|(_, b)| *b as i64)
-                .sum();
-            let key = if free <= 0 {
-                (free, local_bytes)
-            } else {
-                (1, local_bytes)
-            };
-            if best.is_none() || key > best_key {
-                best_key = key;
-                best = Some(ep);
-            }
-        }
-        best.unwrap_or(0)
-    }
-
-    fn dispatch(&self, id: usize, task: PendingTask) {
-        let (ep, attempt, stage, upstream_err) = {
-            let mut coord = self.coord.lock();
-            let ep = self.place(&coord, &task);
-            let attempt = coord.attempts.get(&id).copied().unwrap_or(1);
-            coord.inflight.insert(id, (Instant::now(), attempt, ep));
-            if self.retry.max_attempts > 1 || self.retry.task_timeout.is_some() {
-                coord.retriable.insert(id, task.clone());
-            }
-            coord.stats.dispatched += 1;
-            // Gather dep outputs for staging — or the upstream error that
-            // dooms this task deterministically.
-            let mut stage = Vec::with_capacity(task.dep_ids.len());
-            let mut upstream_err = None;
-            for d in &task.dep_ids {
-                match coord.outputs.get(d) {
-                    Some(bytes) => stage.push((*d as u64, Arc::clone(bytes))),
-                    None => {
-                        upstream_err = Some(format!("upstream task {d} failed"));
-                        break;
-                    }
-                }
-            }
-            (ep, attempt, stage, upstream_err)
+    /// Places and starts an attempt, stages its dependency outputs on the
+    /// chosen endpoint and submits it.
+    fn dispatch(self: &Arc<Self>, id: usize, task: PendingTask<Body>) {
+        let fabric = &self.fabric;
+        let (ep, start) = {
+            let mut state = self.state.lock();
+            let health = self.health.lock();
+            let ep = state.coord.place(&task, fabric.n_endpoints(), |ep| {
+                (fabric.probe(ep) != ProbeState::Dead
+                    && health.is_schedulable(EndpointId(ep as u16)))
+                .then(|| fabric.n_workers(ep) as i64 - fabric.busy_workers(ep) as i64)
+            });
+            drop(health);
+            state.stats.dispatched += 1;
+            (ep, state.coord.start(id, &task, ep, Instant::now()))
         };
+        let attempt = start.attempt;
         if let Some(tr) = &self.trace {
             tr.begin(tr.labels.attempt, attempt_span_id(id, attempt));
             tr.instant(tr.labels.dispatch, id as u64, ep as i64);
         }
-        if let Some(msg) = upstream_err {
+        let outputs = match start.inputs {
+            Ok(outputs) => outputs,
             // Never touched the endpoint: not retryable, says nothing
             // about endpoint health.
-            self.complete(id, ep, attempt, Err(msg), false);
-            return;
-        }
-        for (key, bytes) in &stage {
-            self.fabric.stage(ep, *key, bytes);
+            Err((d, _)) => {
+                let msg = format!("upstream task {d} failed");
+                return self.complete(id, ep, attempt, Err(msg), false);
+            }
+        };
+        for (d, bytes) in task.dep_ids.iter().zip(&outputs) {
+            fabric.stage(ep, *d as u64, bytes);
         }
         let job = JobSpec {
             task: id as u64,
             attempt,
-            function: Arc::clone(&task.function),
+            function: task.body.function,
             deps: task.dep_ids.iter().map(|d| *d as u64).collect(),
-            payload: task.payload.clone(),
+            payload: task.body.payload,
         };
-        let this = self.clone();
-        self.fabric.submit(
+        let this = Arc::clone(self);
+        fabric.submit(
             ep,
             job,
             Box::new(move |result| {

@@ -16,7 +16,8 @@
 //! pool once every input future resolved — a chain of tasks can never
 //! deadlock a single worker.
 //!
-//! Fault tolerance mirrors the simulated runtime (§IV-G): a
+//! Fault tolerance mirrors the simulated runtime (§IV-G) and is the
+//! shared [`coord`](crate::runtime::coord) state machine: a
 //! [`LiveRetryPolicy`] bounds attempts per task, a watchdog inside
 //! [`LiveRuntime::wait_all`] re-dispatches attempts that exceed the task
 //! timeout (recovering jobs swallowed by a crashed worker), and a
@@ -27,6 +28,7 @@
 
 use crate::error::UniFaasError;
 use crate::monitor::{HealthMonitor, HealthState};
+use crate::runtime::coord::{record_outcome, Coord, Next, PendingTask, TaskFuture};
 use crate::trace::TraceConfig;
 use fedci::endpoint::EndpointId;
 use fedci::threaded::ThreadedEndpoint;
@@ -37,52 +39,9 @@ use simkit::SimTime;
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
-use taskgraph::TaskId;
+use std::time::{Duration, Instant};
 
-/// Retry/timeout policy for the live runtime (the live analogue of
-/// [`RetryPolicy`](crate::config::RetryPolicy)).
-///
-/// The default — one attempt, no timeout — reproduces the pre-retry
-/// behavior exactly: failures propagate immediately and nothing watches
-/// the clock.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LiveRetryPolicy {
-    /// Attempts per task (≥ 1). An application error or timeout on the
-    /// last attempt is final.
-    pub max_attempts: u32,
-    /// Wall-clock budget per attempt; exceeded attempts are presumed
-    /// swallowed (crashed worker) and re-dispatched by the `wait_all`
-    /// watchdog. `None` disables the watchdog.
-    pub task_timeout: Option<Duration>,
-    /// Base backoff slept (by the worker) before retry attempt `k`,
-    /// doubling per attempt. Zero disables backoff.
-    pub backoff: Duration,
-}
-
-impl Default for LiveRetryPolicy {
-    fn default() -> Self {
-        LiveRetryPolicy {
-            max_attempts: 1,
-            task_timeout: None,
-            backoff: Duration::ZERO,
-        }
-    }
-}
-
-impl LiveRetryPolicy {
-    fn enabled(&self) -> bool {
-        self.max_attempts > 1 || self.task_timeout.is_some()
-    }
-
-    /// Backoff before `attempt` (1-based; the first attempt never waits).
-    pub(crate) fn backoff_for(&self, attempt: u32) -> Option<Duration> {
-        if attempt <= 1 || self.backoff.is_zero() {
-            return None;
-        }
-        Some(self.backoff * 2u32.saturating_pow((attempt - 2).min(16)))
-    }
-}
+pub use crate::runtime::coord::LiveRetryPolicy;
 
 /// A dynamically typed value passed between functions.
 pub type Value = Arc<dyn Any + Send + Sync>;
@@ -101,58 +60,16 @@ pub fn downcast<T: Any + Send + Sync>(v: &Value) -> Option<&T> {
 /// an application error.
 pub type AppFn = Arc<dyn Fn(&[Value]) -> Result<Value, String> + Send + Sync>;
 
-struct FutureState {
-    cell: Mutex<Option<Result<Value, String>>>,
-    cond: Condvar,
-}
-
 /// A handle to the eventual result of a task (the paper's `Future`).
+pub type AppFuture = TaskFuture<Value>;
+
+/// What a live task runs: the function resolved at submit, its plain
+/// arguments (resolved dependency values are appended at dispatch) and
+/// its declared output size.
 #[derive(Clone)]
-pub struct AppFuture {
-    id: usize,
-    state: Arc<FutureState>,
-}
-
-impl AppFuture {
-    /// The task id backing this future.
-    pub fn task_id(&self) -> TaskId {
-        TaskId(self.id as u32)
-    }
-
-    /// Blocks until the task completes, returning its value.
-    pub fn wait(&self) -> Result<Value, UniFaasError> {
-        let mut cell = self.state.cell.lock();
-        while cell.is_none() {
-            self.state.cond.wait(&mut cell);
-        }
-        match cell.as_ref().expect("checked above") {
-            Ok(v) => Ok(Arc::clone(v)),
-            Err(msg) => Err(UniFaasError::FunctionError {
-                task: self.task_id(),
-                message: msg.clone(),
-            }),
-        }
-    }
-
-    /// Non-blocking poll.
-    pub fn is_done(&self) -> bool {
-        self.state.cell.lock().is_some()
-    }
-
-    fn resolve(&self, result: Result<Value, String>) {
-        let mut cell = self.state.cell.lock();
-        debug_assert!(cell.is_none(), "future resolved twice");
-        *cell = Some(result);
-        self.state.cond.notify_all();
-    }
-}
-
-#[derive(Clone)]
-struct PendingTask {
-    function: String,
+struct Body {
+    f: AppFn,
     args: Vec<Value>,
-    dep_ids: Vec<usize>,
-    remaining: usize,
     output_bytes: u64,
 }
 
@@ -187,101 +104,24 @@ impl LiveTrace {
     }
 }
 
-type SharedTrace = Option<Arc<Mutex<LiveTrace>>>;
-
-/// Opens the pending span for a freshly submitted task.
-fn trace_submit(trace: &SharedTrace, id: usize) {
-    if let Some(t) = trace {
-        let mut tr = t.lock();
-        let (at, name, track) = (tr.now(), tr.pending, tr.client_track);
-        tr.tracer.begin(at, name, track, id as u64);
-    }
-}
-
-/// Moves a task's span from pending to executing on its endpoint's track.
-/// Only the first attempt closes the pending span; retries just open a
-/// fresh executing span.
-fn trace_exec_begin(trace: &SharedTrace, id: usize, ep: usize, first: bool) {
-    if let Some(t) = trace {
-        let mut tr = t.lock();
-        let at = tr.now();
-        if first {
-            let (pending, client) = (tr.pending, tr.client_track);
-            tr.tracer.end(at, pending, client, id as u64);
-        }
-        let (exec, track) = (tr.labels.executing, tr.labels.tracks[ep]);
-        tr.tracer.begin(at, exec, track, id as u64);
-    }
-}
-
-/// Closes a task's executing span, adding a fault instant on failure.
-fn trace_done(trace: &SharedTrace, id: usize, ep: usize, failed: bool) {
-    if let Some(t) = trace {
-        let mut tr = t.lock();
-        let at = tr.now();
-        let (exec, track) = (tr.labels.executing, tr.labels.tracks[ep]);
-        tr.tracer.end(at, exec, track, id as u64);
-        if failed {
-            let (fault, track) = (tr.labels.fault_task, tr.labels.tracks[ep]);
-            tr.tracer.instant(at, fault, track, id as u64, ep as i64);
-        }
-    }
-}
-
-/// Records a retry instant for a failed attempt on `ep`'s track.
-fn trace_retry(trace: &SharedTrace, id: usize, ep: usize, attempt: u32) {
-    if let Some(t) = trace {
-        let mut tr = t.lock();
-        let at = tr.now();
-        let (retry, track) = (tr.labels.retry, tr.labels.tracks[ep]);
-        tr.tracer
-            .instant(at, retry, track, id as u64, attempt as i64);
-    }
-}
-
-/// Records a health-state transition instant for `ep`.
-fn trace_health(trace: &SharedTrace, ep: usize, state: HealthState) {
-    if let Some(t) = trace {
-        let mut tr = t.lock();
-        let at = tr.now();
-        let (health, track) = (tr.labels.health, tr.labels.tracks[ep]);
-        tr.tracer
-            .instant(at, health, track, ep as u64, state.code() as i64);
-    }
-}
-
-struct Coord {
-    pending: HashMap<usize, PendingTask>,
-    dependents: HashMap<usize, Vec<usize>>,
-    /// Where each resolved future's output lives, and its size.
-    produced_at: HashMap<usize, (usize, u64)>,
-    next_id: usize,
-    futures: HashMap<usize, AppFuture>,
-    outstanding: usize,
-    /// Next attempt number per task (absent = first attempt).
-    attempts: HashMap<usize, u32>,
-    /// In-flight attempts: task id → (start, attempt, endpoint). The
-    /// attempt number is the generation guard: a completion whose attempt
-    /// no longer matches is stale (superseded by a watchdog re-dispatch)
-    /// and is dropped, so futures resolve exactly once.
-    inflight: HashMap<usize, (std::time::Instant, u32, usize)>,
-    /// Tasks kept re-dispatchable while retries are still possible.
-    retriable: HashMap<usize, PendingTask>,
+/// State shared with worker closures, which report completions and
+/// dispatch dependents.
+struct Shared {
+    endpoints: Vec<ThreadedEndpoint>,
+    coord: Mutex<Coord<Body, Value>>,
+    done_cond: Condvar,
+    /// Simulated WAN bandwidth in bytes/second: moving inputs produced on
+    /// another endpoint costs real wall time. `None` disables it.
+    transfer_bandwidth_bps: Option<f64>,
+    trace: Option<Mutex<LiveTrace>>,
+    health: Mutex<HealthMonitor>,
 }
 
 /// The live, multi-threaded UniFaaS runtime.
 pub struct LiveRuntime {
-    endpoints: Vec<Arc<ThreadedEndpoint>>,
+    shared: Arc<Shared>,
     labels: Vec<String>,
     functions: Mutex<HashMap<String, AppFn>>,
-    coord: Arc<Mutex<Coord>>,
-    done_cond: Arc<Condvar>,
-    /// Simulated WAN bandwidth in bytes/second: moving inputs produced on
-    /// another endpoint costs real wall time. `None` disables it.
-    transfer_bandwidth_bps: Option<f64>,
-    trace: SharedTrace,
-    retry: LiveRetryPolicy,
-    health: Arc<Mutex<HealthMonitor>>,
 }
 
 impl LiveRuntime {
@@ -296,59 +136,55 @@ impl LiveRuntime {
     /// [`ThreadedEndpoint::with_poll_timeout`]).
     pub fn with_pool_poll_timeout(endpoints: &[(&str, usize)], poll: Duration) -> Self {
         assert!(!endpoints.is_empty(), "need at least one endpoint");
-        let pools: Vec<Arc<ThreadedEndpoint>> = endpoints
+        let pools: Vec<ThreadedEndpoint> = endpoints
             .iter()
-            .map(|(l, w)| Arc::new(ThreadedEndpoint::with_poll_timeout(l, *w, poll)))
+            .map(|(l, w)| ThreadedEndpoint::with_poll_timeout(l, *w, poll))
             .collect();
         let n = pools.len();
         LiveRuntime {
-            endpoints: pools,
+            shared: Arc::new(Shared {
+                endpoints: pools,
+                coord: Mutex::new(Coord::new()),
+                done_cond: Condvar::new(),
+                transfer_bandwidth_bps: None,
+                trace: None,
+                health: Mutex::new(HealthMonitor::new(n)),
+            }),
             labels: endpoints.iter().map(|(l, _)| l.to_string()).collect(),
             functions: Mutex::new(HashMap::new()),
-            coord: Arc::new(Mutex::new(Coord {
-                pending: HashMap::new(),
-                dependents: HashMap::new(),
-                produced_at: HashMap::new(),
-                next_id: 0,
-                futures: HashMap::new(),
-                outstanding: 0,
-                attempts: HashMap::new(),
-                inflight: HashMap::new(),
-                retriable: HashMap::new(),
-            })),
-            done_cond: Arc::new(Condvar::new()),
-            transfer_bandwidth_bps: None,
-            trace: None,
-            retry: LiveRetryPolicy::default(),
-            health: Arc::new(Mutex::new(HealthMonitor::new(n))),
         }
+    }
+
+    /// The shared state, for builder methods (nothing else holds it yet).
+    fn configure(&mut self) -> &mut Shared {
+        Arc::get_mut(&mut self.shared).expect("configure the runtime before submitting")
     }
 
     /// Sets the retry/timeout policy (builder style). The default policy
     /// — one attempt, no timeout — leaves behavior identical to a
     /// runtime without fault tolerance.
-    pub fn with_retry(mut self, policy: LiveRetryPolicy) -> Self {
+    pub fn with_retry(self, policy: LiveRetryPolicy) -> Self {
         assert!(policy.max_attempts >= 1, "need at least one attempt");
-        self.retry = policy;
+        self.shared.coord.lock().retry = policy;
         self
     }
 
     /// The underlying worker pool for endpoint `i` (fault-injection and
     /// introspection hooks live on the pool).
     pub fn pool(&self, i: usize) -> &ThreadedEndpoint {
-        &self.endpoints[i]
+        &self.shared.endpoints[i]
     }
 
     /// Current health state of endpoint `i`.
     pub fn endpoint_health(&self, i: usize) -> HealthState {
-        self.health.lock().state(EndpointId(i as u16))
+        self.shared.health.lock().state(EndpointId(i as u16))
     }
 
     /// Enables the simulated WAN: remote input bytes are converted into a
     /// real sleep at this bandwidth before the function runs.
     pub fn with_transfer_bandwidth(mut self, bytes_per_sec: f64) -> Self {
         assert!(bytes_per_sec > 0.0);
-        self.transfer_bandwidth_bps = Some(bytes_per_sec);
+        self.configure().transfer_bandwidth_bps = Some(bytes_per_sec);
         self
     }
 
@@ -358,7 +194,8 @@ impl LiveRuntime {
     /// [`LiveRuntime::trace_snapshot`].
     pub fn with_trace(mut self, cfg: TraceConfig) -> Self {
         if cfg.level != simkit::trace::TraceLevel::Off {
-            self.trace = Some(Arc::new(Mutex::new(LiveTrace::new(&cfg, &self.labels))));
+            let trace = LiveTrace::new(&cfg, &self.labels);
+            self.configure().trace = Some(Mutex::new(trace));
         }
         self
     }
@@ -367,7 +204,7 @@ impl LiveRuntime {
     /// Typically called after [`LiveRuntime::wait_all`] and exported with
     /// [`Tracer::export_perfetto`] / [`Tracer::export_jsonl`].
     pub fn trace_snapshot(&self) -> Option<Tracer> {
-        self.trace.as_ref().map(|t| t.lock().tracer.clone())
+        self.shared.trace.as_ref().map(|t| t.lock().tracer.clone())
     }
 
     /// Starts a Prometheus scrape server at `addr` (e.g. `127.0.0.1:9100`;
@@ -382,6 +219,7 @@ impl LiveRuntime {
     pub fn serve_metrics(&self, addr: &str) -> std::io::Result<simkit::MetricsServer> {
         let mut reg = simkit::MetricsRegistry::new();
         let ids: Vec<fedci::threaded::PoolMetricIds> = self
+            .shared
             .endpoints
             .iter()
             .map(|ep| ep.register_metrics(&mut reg))
@@ -391,17 +229,16 @@ impl LiveRuntime {
             "Submitted tasks whose futures have not resolved.",
             &[],
         );
-        let pools = self.endpoints.clone();
-        let coord = Arc::clone(&self.coord);
+        let shared = Arc::clone(&self.shared);
         // The refresh hook is `Fn`, so the per-pool counter high-water
         // marks live behind their own lock.
         let ids = std::sync::Mutex::new(ids);
         let refresh: simkit::metrics::RefreshFn = Box::new(move |reg| {
             let mut ids = ids.lock().expect("refresh hook never panics");
-            for (ep, id) in pools.iter().zip(ids.iter_mut()) {
+            for (ep, id) in shared.endpoints.iter().zip(ids.iter_mut()) {
                 ep.sample_metrics(reg, id);
             }
-            reg.set(outstanding, coord.lock().outstanding as f64);
+            reg.set(outstanding, shared.coord.lock().outstanding() as f64);
         });
         simkit::MetricsServer::start(addr, Arc::new(std::sync::Mutex::new(reg)), Some(refresh))
     }
@@ -440,44 +277,32 @@ impl LiveRuntime {
         deps: &[&AppFuture],
         output_bytes: u64,
     ) -> Result<AppFuture, UniFaasError> {
-        if !self.functions.lock().contains_key(name) {
-            return Err(UniFaasError::UnknownFunction(name.to_string()));
-        }
-        let mut coord = self.coord.lock();
-        let id = coord.next_id;
-        coord.next_id += 1;
-        let future = AppFuture {
-            id,
-            state: Arc::new(FutureState {
-                cell: Mutex::new(None),
-                cond: Condvar::new(),
-            }),
+        // Resolved now, so a later registration never changes what an
+        // already-submitted task runs.
+        let f = self
+            .functions
+            .lock()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| UniFaasError::UnknownFunction(name.to_string()))?;
+        let sh = &self.shared;
+        let (future, ready) = {
+            let mut coord = sh.coord.lock();
+            let submitted = coord.submit(
+                Body {
+                    f,
+                    args,
+                    output_bytes,
+                },
+                deps,
+            );
+            // Under the lock: once it drops, a completion on a worker may
+            // release this task and close its pending span.
+            sh.trace_submit(submitted.0.id);
+            submitted
         };
-        coord.futures.insert(id, future.clone());
-        coord.outstanding += 1;
-        trace_submit(&self.trace, id);
-
-        let dep_ids: Vec<usize> = deps.iter().map(|d| d.id).collect();
-        let unresolved: Vec<usize> = dep_ids
-            .iter()
-            .copied()
-            .filter(|d| !coord.produced_at.contains_key(d))
-            .collect();
-        let task = PendingTask {
-            function: name.to_string(),
-            args,
-            dep_ids,
-            remaining: unresolved.len(),
-            output_bytes,
-        };
-        if task.remaining == 0 {
-            drop(coord);
-            self.handle().dispatch(id, task);
-        } else {
-            for d in &unresolved {
-                coord.dependents.entry(*d).or_default().push(id);
-            }
-            coord.pending.insert(id, task);
+        if let Some(task) = ready {
+            sh.dispatch(future.id, task, None);
         }
         Ok(future)
     }
@@ -490,98 +315,94 @@ impl LiveRuntime {
     /// attempts swallowed by a crashed worker, which would otherwise never
     /// complete).
     pub fn wait_all(&self) {
-        let Some(timeout) = self.retry.task_timeout else {
-            let mut coord = self.coord.lock();
-            while coord.outstanding > 0 {
-                self.done_cond.wait(&mut coord);
+        let sh = &self.shared;
+        let timeout = sh.coord.lock().retry.task_timeout;
+        let Some(timeout) = timeout else {
+            let mut coord = sh.coord.lock();
+            while coord.outstanding() > 0 {
+                sh.done_cond.wait(&mut coord);
             }
             return;
         };
         let tick = (timeout / 4).max(Duration::from_millis(5));
         loop {
-            let overdue: Vec<(usize, usize, u32, u64)> = {
-                let mut coord = self.coord.lock();
-                if coord.outstanding == 0 {
+            let overdue = {
+                let mut coord = sh.coord.lock();
+                if coord.outstanding() == 0 {
                     return;
                 }
-                self.done_cond.wait_for(&mut coord, tick);
-                if coord.outstanding == 0 {
+                sh.done_cond.wait_for(&mut coord, tick);
+                if coord.outstanding() == 0 {
                     return;
                 }
-                coord
-                    .inflight
-                    .iter()
-                    .filter(|(_, (start, _, _))| start.elapsed() >= timeout)
-                    .map(|(&id, &(_, attempt, ep))| {
-                        let bytes = coord.retriable.get(&id).map_or(0, |t| t.output_bytes);
-                        (id, ep, attempt, bytes)
-                    })
-                    .collect()
+                coord.overdue(Instant::now(), timeout, |b| b.output_bytes)
             };
-            let handle = self.handle();
-            for (id, ep, attempt, bytes) in overdue {
-                handle.complete(
-                    id,
-                    ep,
-                    attempt,
-                    Err(format!("attempt {attempt} timed out after {timeout:?}")),
-                    bytes,
-                    true,
-                );
+            for o in overdue {
+                sh.complete(o.id, o.ep, o.attempt, Err(o.error), o.bytes, true);
             }
         }
     }
+}
 
-    fn handle(&self) -> RuntimeHandle {
-        RuntimeHandle {
-            endpoints: self.endpoints.clone(),
-            functions_snapshot: Arc::new(self.functions.lock().clone()),
-            coord: Arc::clone(&self.coord),
-            done_cond: Arc::clone(&self.done_cond),
-            transfer_bandwidth_bps: self.transfer_bandwidth_bps,
-            trace: self.trace.clone(),
-            retry: self.retry,
-            health: Arc::clone(&self.health),
+impl Shared {
+    /// Runs `f` on the trace state with the current timestamp, when
+    /// tracing is on.
+    fn trace(&self, f: impl FnOnce(&mut LiveTrace, SimTime)) {
+        if let Some(t) = &self.trace {
+            let mut tr = t.lock();
+            let at = tr.now();
+            f(&mut tr, at);
         }
     }
-}
 
-/// A cheap clonable view used by worker closures to report completion and
-/// dispatch dependents.
-#[derive(Clone)]
-struct RuntimeHandle {
-    endpoints: Vec<Arc<ThreadedEndpoint>>,
-    functions_snapshot: Arc<HashMap<String, AppFn>>,
-    coord: Arc<Mutex<Coord>>,
-    done_cond: Arc<Condvar>,
-    transfer_bandwidth_bps: Option<f64>,
-    trace: SharedTrace,
-    retry: LiveRetryPolicy,
-    health: Arc<Mutex<HealthMonitor>>,
-}
+    /// Opens the pending span for a freshly submitted task.
+    fn trace_submit(&self, id: usize) {
+        self.trace(|tr, at| tr.tracer.begin(at, tr.pending, tr.client_track, id as u64));
+    }
 
-/// What `complete` decided under the coordinator lock; acted on outside it
-/// so dispatch/trace/health never run with the lock held.
-enum Next {
-    Retry(PendingTask),
-    Finalize {
-        failed: bool,
-        ran: bool,
-        ready: Vec<(usize, PendingTask)>,
-    },
-}
+    /// Moves a task's span from pending to executing on its endpoint's
+    /// track. Only the first attempt closes the pending span; retries just
+    /// open a fresh executing span.
+    fn trace_exec_begin(&self, id: usize, ep: usize, first: bool) {
+        self.trace(|tr, at| {
+            if first {
+                tr.tracer.end(at, tr.pending, tr.client_track, id as u64);
+            }
+            let track = tr.labels.tracks[ep];
+            tr.tracer.begin(at, tr.labels.executing, track, id as u64);
+        });
+    }
 
-impl RuntimeHandle {
-    /// Reports the outcome of attempt `attempt` of task `id` on `ep`.
-    ///
-    /// `can_retry` is false for deterministic failures (upstream errors)
-    /// that never touched the endpoint — retrying cannot change them and
-    /// they say nothing about endpoint health. Stale completions (the
-    /// attempt number no longer matches the in-flight record, because the
-    /// watchdog already failed this attempt over) are dropped: execution
-    /// is at-least-once, resolution exactly-once.
+    /// Closes a task's executing span, adding a fault instant on failure.
+    fn trace_done(&self, id: usize, ep: usize, failed: bool) {
+        self.trace(|tr, at| {
+            let track = tr.labels.tracks[ep];
+            tr.tracer.end(at, tr.labels.executing, track, id as u64);
+            if failed {
+                let fault = tr.labels.fault_task;
+                tr.tracer.instant(at, fault, track, id as u64, ep as i64);
+            }
+        });
+    }
+
+    /// Feeds an attempt outcome into the health monitor, tracing any
+    /// state transition it causes.
+    fn record_health(&self, ep: usize, success: bool) {
+        let transition = record_outcome(&mut self.health.lock(), ep, success);
+        if let Some(state) = transition {
+            self.trace(|tr, at| {
+                let (health, track) = (tr.labels.health, tr.labels.tracks[ep]);
+                let code = state.code() as i64;
+                tr.tracer.instant(at, health, track, ep as u64, code);
+            });
+        }
+    }
+
+    /// Reports the outcome of attempt `attempt` of task `id` on `ep`
+    /// through the coordinator, then acts on its decision outside the
+    /// lock.
     fn complete(
-        &self,
+        self: &Arc<Self>,
         id: usize,
         ep: usize,
         attempt: u32,
@@ -591,192 +412,85 @@ impl RuntimeHandle {
     ) {
         let next = {
             let mut coord = self.coord.lock();
-            match coord.inflight.get(&id) {
-                Some(&(_, a, _)) if a == attempt => {}
-                _ => return, // stale or already finalized
+            let next = coord.complete(id, ep, attempt, result, bytes, can_retry);
+            if coord.outstanding() == 0 {
+                self.done_cond.notify_all();
             }
-            coord.inflight.remove(&id);
-            if result.is_err() && can_retry && attempt < self.retry.max_attempts {
-                coord.attempts.insert(id, attempt + 1);
-                let task = coord
-                    .retriable
-                    .get(&id)
-                    .expect("retriable recorded")
-                    .clone();
-                Next::Retry(task)
-            } else {
-                coord.retriable.remove(&id);
-                coord.attempts.remove(&id);
-                let failed = result.is_err();
-                coord.produced_at.insert(id, (ep, bytes));
-                let fut = coord.futures.get(&id).expect("future exists").clone();
-                fut.resolve(result);
-                coord.outstanding -= 1;
-                if coord.outstanding == 0 {
-                    self.done_cond.notify_all();
-                }
-                let mut ready = Vec::new();
-                if let Some(deps) = coord.dependents.remove(&id) {
-                    for dep in deps {
-                        if let Some(t) = coord.pending.get_mut(&dep) {
-                            t.remaining -= 1;
-                            if t.remaining == 0 {
-                                let t = coord.pending.remove(&dep).expect("present");
-                                ready.push((dep, t));
-                            }
-                        }
-                    }
-                }
-                Next::Finalize {
-                    failed,
-                    ran: can_retry,
-                    ready,
-                }
-            }
+            next
         };
         match next {
-            Next::Retry(task) => {
-                trace_done(&self.trace, id, ep, true);
-                trace_retry(&self.trace, id, ep, attempt);
+            Next::Stale => {}
+            Next::Retry { task, backoff } => {
+                self.trace_done(id, ep, true);
+                self.trace(|tr, at| {
+                    let (retry, track) = (tr.labels.retry, tr.labels.tracks[ep]);
+                    tr.tracer
+                        .instant(at, retry, track, id as u64, attempt as i64);
+                });
                 self.record_health(ep, false);
-                self.dispatch(id, task);
+                self.dispatch(id, task, backoff);
             }
             Next::Finalize { failed, ran, ready } => {
-                trace_done(&self.trace, id, ep, failed);
+                self.trace_done(id, ep, failed);
                 if ran {
                     self.record_health(ep, !failed);
                 }
                 for (rid, task) in ready {
-                    self.dispatch(rid, task);
+                    self.dispatch(rid, task, None);
                 }
             }
         }
     }
 
-    /// Feeds an attempt outcome into the health monitor, tracing any
-    /// state transition it causes.
-    fn record_health(&self, ep: usize, success: bool) {
-        let transition = {
-            let mut h = self.health.lock();
-            let id = EndpointId(ep as u16);
-            if success {
-                h.record_success(id)
-            } else {
-                h.record_failure(id)
-            }
-        };
-        if let Some(state) = transition {
-            trace_health(&self.trace, ep, state);
-        }
-    }
-
-    /// Picks an endpoint: skip pools that fail the liveness probe or are
-    /// marked Down, then maximize free workers, breaking ties toward the
-    /// endpoint holding the most input bytes. When every pool is down,
-    /// falls back to endpoint 0 — the attempt will fail or time out and
-    /// the watchdog keeps retrying until a pool recovers.
-    fn place(&self, coord: &Coord, task: &PendingTask) -> usize {
-        let health = self.health.lock();
-        let mut best: Option<usize> = None;
-        let mut best_key = (i64::MIN, i64::MIN);
-        for (i, ep) in self.endpoints.iter().enumerate() {
-            if !ep.responsive() || !health.is_schedulable(EndpointId(i as u16)) {
-                continue;
-            }
-            let free = ep.n_workers() as i64 - ep.busy_workers() as i64;
-            let local_bytes: i64 = task
-                .dep_ids
-                .iter()
-                .filter_map(|d| coord.produced_at.get(d))
-                .filter(|(at, _)| *at == i)
-                .map(|(_, b)| *b as i64)
-                .sum();
-            let key = if free <= 0 {
-                (free, local_bytes)
-            } else {
-                (1, local_bytes)
-            };
-            if best.is_none() || key > best_key {
-                best_key = key;
-                best = Some(i);
-            }
-        }
-        best.unwrap_or(0)
-    }
-
-    fn dispatch(&self, id: usize, task: PendingTask) {
-        let (ep_idx, attempt, remote_bytes, dep_values_or_err) = {
+    /// Places and starts an attempt, then runs it on the chosen pool; the
+    /// worker sleeps `backoff` (a retry) and any simulated WAN staging
+    /// before calling the function.
+    fn dispatch(self: &Arc<Self>, id: usize, task: PendingTask<Body>, backoff: Option<Duration>) {
+        let (ep, start) = {
             let mut coord = self.coord.lock();
-            let ep_idx = self.place(&coord, &task);
-            let attempt = coord.attempts.get(&id).copied().unwrap_or(1);
-            coord
-                .inflight
-                .insert(id, (std::time::Instant::now(), attempt, ep_idx));
-            if self.retry.enabled() {
-                coord.retriable.insert(id, task.clone());
-            }
-            let remote_bytes: u64 = task
-                .dep_ids
-                .iter()
-                .filter_map(|d| coord.produced_at.get(d))
-                .filter(|(at, _)| *at != ep_idx)
-                .map(|(_, b)| *b)
-                .sum();
-            // Collect resolved dependency values (or an upstream error).
-            let mut vals = Vec::with_capacity(task.dep_ids.len());
-            let mut upstream_err = None;
-            for d in &task.dep_ids {
-                let fut = coord.futures.get(d).expect("dep future exists");
-                match fut.state.cell.lock().as_ref().expect("dep resolved") {
-                    Ok(v) => vals.push(Arc::clone(v)),
-                    Err(e) => {
-                        upstream_err = Some(format!("upstream task {d} failed: {e}"));
-                        break;
-                    }
-                }
-            }
-            (
-                ep_idx,
-                attempt,
-                remote_bytes,
-                upstream_err.map_or(Ok(vals), Err),
-            )
+            let health = self.health.lock();
+            let ep = coord.place(&task, self.endpoints.len(), |i| {
+                let pool = &self.endpoints[i];
+                (pool.responsive() && health.is_schedulable(EndpointId(i as u16)))
+                    .then(|| pool.n_workers() as i64 - pool.busy_workers() as i64)
+            });
+            drop(health);
+            (ep, coord.start(id, &task, ep, Instant::now()))
         };
-        trace_exec_begin(&self.trace, id, ep_idx, attempt == 1);
-
-        match dep_values_or_err {
-            Err(msg) => self.complete(id, ep_idx, attempt, Err(msg), task.output_bytes, false),
-            Ok(dep_values) => {
-                let f = Arc::clone(
-                    self.functions_snapshot
-                        .get(&task.function)
-                        .expect("checked at submit"),
-                );
-                let mut inputs = task.args;
-                inputs.extend(dep_values);
-                let transfer_sleep = self
-                    .transfer_bandwidth_bps
-                    .filter(|_| remote_bytes > 0)
-                    .map(|bw| std::time::Duration::from_secs_f64(remote_bytes as f64 / bw));
-                let backoff = self.retry.backoff_for(attempt);
-                let this = self.clone();
-                let output_bytes = task.output_bytes;
-                self.endpoints[ep_idx].submit_then(move || {
-                    if let Some(d) = backoff {
-                        std::thread::sleep(d); // retry backoff
-                    }
-                    if let Some(d) = transfer_sleep {
-                        std::thread::sleep(d); // simulated WAN staging
-                    }
-                    let result = f(&inputs);
-                    // Complete after the worker frees, so dependents see it
-                    // as placeable capacity.
-                    Some(Box::new(move || {
-                        this.complete(id, ep_idx, attempt, result, output_bytes, true);
-                    }) as Box<dyn FnOnce() + Send>)
-                });
+        let attempt = start.attempt;
+        self.trace_exec_begin(id, ep, attempt == 1);
+        let Body {
+            f,
+            args: mut inputs,
+            output_bytes,
+        } = task.body;
+        let dep_values = match start.inputs {
+            Ok(values) => values,
+            Err((d, e)) => {
+                let msg = format!("upstream task {d} failed: {e}");
+                return self.complete(id, ep, attempt, Err(msg), output_bytes, false);
             }
-        }
+        };
+        inputs.extend(dep_values);
+        let transfer_sleep = self
+            .transfer_bandwidth_bps
+            .filter(|_| start.remote_bytes > 0)
+            .map(|bw| Duration::from_secs_f64(start.remote_bytes as f64 / bw));
+        let this = Arc::clone(self);
+        self.endpoints[ep].submit_then(move || {
+            if let Some(d) = backoff {
+                std::thread::sleep(d); // retry backoff
+            }
+            if let Some(d) = transfer_sleep {
+                std::thread::sleep(d); // simulated WAN staging
+            }
+            let result = f(&inputs);
+            // Complete after the worker frees, so dependents see it as
+            // placeable capacity.
+            Some(Box::new(move || {
+                this.complete(id, ep, attempt, result, output_bytes, true);
+            }) as Box<dyn FnOnce() + Send>)
+        });
     }
 }
 
@@ -1020,5 +734,30 @@ mod tests {
             elapsed < std::time::Duration::from_millis(350),
             "{elapsed:?}"
         );
+    }
+
+    #[test]
+    fn dependent_runs_a_function_registered_after_its_parent_was_submitted() {
+        let rt = LiveRuntime::new(&[("a", 2)]);
+        // The parent blocks until the child is submitted, so the child is
+        // released by the parent's completion, not dispatched at submit.
+        let (go, gate) = std::sync::mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        rt.register("slow", move |_| {
+            gate.lock().recv().map_err(|e| e.to_string())?;
+            Ok(value(1i64))
+        });
+        let parent = rt.submit("slow", vec![], &[]).unwrap();
+        rt.register("inc", |args| {
+            Ok(value(downcast::<i64>(&args[0]).ok_or("not an i64")? + 1))
+        });
+        let child = rt.submit("inc", vec![], &[&parent]).unwrap();
+        go.send(()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !child.is_done() {
+            assert!(Instant::now() < deadline, "dependent never resolved");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(*downcast::<i64>(&child.wait().unwrap()).unwrap(), 2);
     }
 }

@@ -1,7 +1,6 @@
 //! Workflow execution runtimes.
 //!
-//! The same framework components (schedulers, data manager, monitors,
-//! profilers) run under two engines:
+//! Three engines execute workflows:
 //!
 //! * [`sim`] — a deterministic discrete-event runtime over virtual time,
 //!   reproducing the paper's experiments at full scale in milliseconds;
@@ -9,14 +8,19 @@
 //!   per-endpoint worker pools (the `fedci::threaded` fabric);
 //! * [`fabric`] — a wire-level runtime over any [`fedci::fabric::Fabric`]
 //!   backend, including process-isolated TCP endpoint daemons
-//!   (`fedci::process`), sharing the live runtime's exactly-once retry
-//!   and health machinery.
+//!   (`fedci::process`).
+//!
+//! [`live`] and [`fabric`] are thin drivers around one exactly-once
+//! coordinator, [`coord`]: futures, dependency release, retries, the
+//! watchdog's overdue scan and health-filtered placement exist once. The
+//! paper's schedulers, data manager and profilers run inside [`sim`].
 
+pub mod coord;
 pub mod fabric;
 pub mod live;
 pub mod sim;
 
-/// Lifecycle of a task, shared by both runtimes.
+/// Lifecycle of a task in the simulated runtime ([`sim`]).
 ///
 /// ```text
 /// Waiting → Ready → Staging → Staged → Dispatched → Running
