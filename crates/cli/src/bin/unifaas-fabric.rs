@@ -13,6 +13,12 @@
 //!                [--metrics-out <path>] [--metrics-addr <addr>]
 //! ```
 //!
+//! The workload is `fabricrun::FabricWorkload`: `--tasks` `fnv` tasks in
+//! which task `i` depends on task `i-1` and, with `--width <w>` above 1,
+//! also on task `i-w`. The `i-1` edge makes it a serial chain at any
+//! width — `--width` adds edges, not parallelism — so the run measures
+//! per-hop latency with one task in flight.
+//!
 //! With `--backend process` each endpoint is a spawned
 //! `unifaas-endpointd` child speaking the length-prefixed TCP protocol;
 //! `--chaos-kill ep:k` SIGKILLs endpoint `ep`'s child once `k` tasks have

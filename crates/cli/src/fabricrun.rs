@@ -18,9 +18,10 @@ pub struct FabricWorkload {
     /// Total task count.
     pub tasks: usize,
     /// Layer width: task `i` depends on `i-1` (chain) and `i-width`
-    /// (cross-layer edge), where present. Width > 1 exposes parallelism;
-    /// the chain keeps a long critical path so mid-run faults always hit
-    /// in-flight work.
+    /// (cross-layer edge), where present. Width > 1 adds edges, not
+    /// parallelism: the `i-1` edge makes the DAG a serial chain at any
+    /// width, with at most one task runnable at a time, so a mid-run
+    /// fault always lands on in-flight work.
     pub width: usize,
     /// Mixed into every task's payload; two runs agree iff seeds agree.
     pub seed: u64,

@@ -133,6 +133,66 @@ fn sigkill_mid_run_respawns_and_loses_nothing() {
 }
 
 #[test]
+fn sigkill_with_hundreds_of_frames_in_flight_loses_nothing() {
+    // 2,000 independent tasks submitted at once: the dispatches leave in
+    // coalesced batches, so when the victim dies it holds hundreds of
+    // attempts (queued, executing, or with RESULTs mid-batch). Its 1 ms
+    // per-task straggler delay keeps the run going long enough for the
+    // kill to land mid-run.
+    let n = 2_000usize;
+    let victim_cmd = vec![
+        daemon_bin(),
+        "--chaos-delay-ms".to_string(),
+        "1".to_string(),
+    ];
+    let fabric = Arc::new(ProcessFabric::new(
+        vec![
+            ProcessEndpointSpec {
+                name: "victim".to_string(),
+                workers: 2,
+                mode: EndpointMode::Spawn {
+                    command: victim_cmd,
+                },
+            },
+            spawn_spec("peer", 2),
+        ],
+        fast_cfg(12),
+    ));
+    for ep in 0..2 {
+        assert!(fabric.wait_probe(ep, ProbeState::Alive, Duration::from_secs(10)));
+    }
+    let rt =
+        FabricRuntime::new(Arc::clone(&fabric) as Arc<dyn Fabric>).with_retry(LiveRetryPolicy {
+            max_attempts: 6,
+            task_timeout: Some(Duration::from_secs(10)),
+            // Immediate retries: a backoff would park one timer thread
+            // per failed-over attempt.
+            backoff: Duration::ZERO,
+        });
+    let payload = |i: usize| (i as u64 ^ 0xc0a1_e5ce).to_le_bytes().to_vec();
+    let futures: Vec<_> = (0..n).map(|i| rt.submit("fnv", payload(i), &[])).collect();
+    wait_completions(&rt, 50, Duration::from_secs(30));
+    fabric.kill(0);
+    rt.wait_all();
+    for (i, f) in futures.iter().enumerate() {
+        let got = f.wait().unwrap_or_else(|e| panic!("task {i} failed: {e}"));
+        assert_eq!(
+            got.as_slice(),
+            fedci::fabric::fnv1a64(&payload(i)).to_le_bytes(),
+            "task {i} diverged from the reference"
+        );
+    }
+    // Each future resolved exactly once: one finalisation per task.
+    assert_eq!(rt.stats().completed as usize, n);
+    let c = fabric.counters(0);
+    assert!(
+        c.failovers >= 1,
+        "the kill must strand in-flight attempts: {c:?}"
+    );
+    fabric.shutdown();
+}
+
+#[test]
 fn repeated_sigkills_of_both_endpoints_still_converge() {
     let w = FabricWorkload::new(150, 9);
     let fabric = Arc::new(ProcessFabric::new(

@@ -64,6 +64,126 @@ pub const DAEMON_TEL_RING_CAPACITY: usize = 1 << 16;
 /// Client-side cap on buffered daemon telemetry events per endpoint.
 const CLIENT_TEL_EVENT_CAP: usize = 1 << 18;
 
+/// Most bytes one coalesced write carries. Frames are packed back to back
+/// into a per-connection buffer that never grows past this; a frame larger
+/// than the bound flushes the buffer and then goes out from its own bytes,
+/// so a megabyte payload is neither copied into nor retained by a buffer
+/// that lives as long as the connection.
+const COALESCE_BOUND: usize = 64 * 1024;
+
+/// Read buffer on both ends of a connection: one `read` pulls in every
+/// frame the peer's last write delivered instead of two calls per frame.
+const READ_BUF: usize = 64 * 1024;
+
+// ---------------------------------------------------------------------------
+// Coalesced frame output
+// ---------------------------------------------------------------------------
+
+/// Frames encoded back to back, waiting for one `write_all`. Both ends
+/// of a connection write through one of these; each write is counted in
+/// `written` once it succeeds.
+struct FrameBatch {
+    buf: Vec<u8>,
+    /// Frames encoded in `buf`.
+    pending: usize,
+    written: WriteStats,
+}
+
+/// Successful writes and the frames and bytes they carried.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct WriteStats {
+    writes: u64,
+    frames: u64,
+    bytes: u64,
+}
+
+impl WriteStats {
+    fn add(&mut self, frames: usize, bytes: usize) {
+        self.writes += 1;
+        self.frames += frames as u64;
+        self.bytes += bytes as u64;
+    }
+}
+
+impl FrameBatch {
+    fn new() -> Self {
+        FrameBatch {
+            buf: Vec::with_capacity(COALESCE_BOUND),
+            pending: 0,
+            written: WriteStats::default(),
+        }
+    }
+
+    /// Appends `frame`, writing the batch out first if the frame would
+    /// push it past [`COALESCE_BOUND`]. A frame over the bound is written
+    /// on its own, right after the batch. On error the batch is discarded.
+    fn push<W: Write>(&mut self, w: &mut W, frame: &Frame) -> std::io::Result<()> {
+        if self.make_room(w, frame.encoded_len())? {
+            frame.encode_into(&mut self.buf);
+            self.pending += 1;
+            Ok(())
+        } else {
+            self.write_direct(w, &frame.encode(), 1)
+        }
+    }
+
+    /// [`FrameBatch::push`] for a TRANSFER of `payload`, encoded from the
+    /// caller's bytes (a shared blob is never copied into a
+    /// [`Frame::Transfer`] just to be encoded).
+    fn push_transfer<W: Write>(
+        &mut self,
+        w: &mut W,
+        key: u64,
+        payload: &[u8],
+    ) -> std::io::Result<()> {
+        let head = Frame::transfer_header(key, payload.len());
+        if self.make_room(w, head.len() + payload.len())? {
+            self.buf.extend_from_slice(&head);
+            self.buf.extend_from_slice(payload);
+            self.pending += 1;
+            Ok(())
+        } else {
+            self.write_direct(w, &head, 0)?;
+            self.write_direct(w, payload, 1)
+        }
+    }
+
+    /// Writes the batch out if a `len`-byte frame would push it past the
+    /// bound. Returns whether the frame joins the batch; `false` means it
+    /// is over the bound and goes out on its own.
+    fn make_room<W: Write>(&mut self, w: &mut W, len: usize) -> std::io::Result<bool> {
+        if self.buf.len() + len > COALESCE_BOUND {
+            self.flush(w)?;
+        }
+        Ok(len <= COALESCE_BOUND)
+    }
+
+    /// Writes every pending frame in one `write_all` (nothing if empty).
+    fn flush<W: Write>(&mut self, w: &mut W) -> std::io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let frames = std::mem::take(&mut self.pending);
+        let r = w.write_all(&self.buf);
+        if r.is_ok() {
+            self.written.add(frames, self.buf.len());
+        }
+        self.buf.clear();
+        r
+    }
+
+    fn write_direct<W: Write>(
+        &mut self,
+        w: &mut W,
+        bytes: &[u8],
+        frames: usize,
+    ) -> std::io::Result<()> {
+        w.write_all(bytes)?;
+        self.written.add(frames, bytes.len());
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Daemon
 // ---------------------------------------------------------------------------
@@ -125,9 +245,10 @@ struct DaemonShared {
     /// connection-scoped and dropped on write failure.
     outbox: Mutex<VecDeque<Frame>>,
     outbox_cv: Condvar,
-    /// Current client connection (write half); `None` while between
-    /// clients. The writer thread consults this before every frame.
-    conn: Mutex<Option<TcpStream>>,
+    /// Current client connection (write half, cloned once per
+    /// connection); `None` while between clients. The writer thread
+    /// consults this before every batch.
+    conn: Mutex<Option<Arc<TcpStream>>>,
     busy: AtomicU32,
     queued: AtomicU32,
     completed: AtomicU64,
@@ -362,7 +483,7 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
         if hello.write_to(&mut write_half).is_err() {
             continue;
         }
-        *shared.conn.lock() = Some(write_half);
+        *shared.conn.lock() = Some(Arc::new(write_half));
         shared.outbox_cv.notify_all();
 
         draining = daemon_serve_connection(stream, &shared, &blobs, &job_tx, &tel);
@@ -392,14 +513,15 @@ pub fn run_daemon<F: FnOnce(SocketAddr)>(cfg: DaemonConfig, on_ready: F) -> std:
 /// Reads frames from one client connection until it breaks or DRAINs.
 /// Returns `true` if the daemon should shut down (DRAIN received).
 fn daemon_serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     shared: &DaemonShared,
     blobs: &Mutex<HashMap<u64, Arc<Vec<u8>>>>,
     job_tx: &Sender<JobSpec>,
     tel: &DaemonTelemetry,
 ) -> bool {
+    let mut reader = BufReader::with_capacity(READ_BUF, stream);
     loop {
-        let frame = match Frame::read_from(&mut stream) {
+        let frame = match Frame::read_from(&mut reader) {
             Ok(f) => f,
             Err(_) => return false, // connection gone; back to accept
         };
@@ -534,52 +656,87 @@ fn daemon_worker(
     }
 }
 
-/// The daemon's single writer: drains the outbox onto whatever connection
-/// is current. RESULTs that cannot be written survive for the next
-/// connection; acks do not (they are meaningless to a future client).
+/// The daemon's single writer: takes everything queued in the outbox
+/// under one lock and writes it to whatever connection is current, in
+/// coalesced batches (see [`write_batch`]).
 fn daemon_writer(shared: &DaemonShared, tel: &DaemonTelemetry) {
+    let mut batch = FrameBatch::new();
+    let mut frames = VecDeque::new();
     loop {
-        let frame = {
+        let stream = {
             let mut q = shared.outbox.lock();
             loop {
                 if shared.stop_writer.load(Ordering::SeqCst) {
                     return;
                 }
-                if !q.is_empty() && shared.conn.lock().is_some() {
-                    break q.pop_front().expect("non-empty");
+                if !q.is_empty() {
+                    if let Some(s) = shared.conn.lock().clone() {
+                        std::mem::swap(&mut *q, &mut frames);
+                        break s;
+                    }
                 }
                 shared.outbox_cv.wait_for(&mut q, Duration::from_millis(50));
             }
         };
-        let result_ids = match &frame {
-            Frame::Result {
-                task, attempt, ok, ..
-            } => Some((*task, *attempt, *ok)),
-            _ => None,
-        };
-        let stream = shared.conn.lock().as_ref().and_then(|s| s.try_clone().ok());
-        let wrote = match stream {
-            Some(mut s) => frame.write_to(&mut s).is_ok(),
-            None => false,
-        };
-        if wrote {
-            // The span's last daemon-side stamp: the RESULT actually hit
-            // the wire (replays after a reconnect re-stamp, which is the
-            // truth — the first copy never arrived).
-            if let Some((task, attempt, ok)) = result_ids {
-                tel.event(TEL_STAGE_SENT, task, attempt, u64::from(ok));
+        if !write_batch(&mut &*stream, &mut frames, &mut batch, &shared.outbox, tel) {
+            // Connection raced away mid-write. Forget it — unless the
+            // accept loop already installed its successor.
+            let mut conn = shared.conn.lock();
+            if conn.as_ref().is_some_and(|c| Arc::ptr_eq(c, &stream)) {
+                *conn = None;
             }
-        }
-        if !wrote {
-            // Connection raced away mid-write. Results are precious —
-            // requeue them at the front so replay preserves order.
-            if matches!(frame, Frame::Result { .. }) {
-                shared.outbox.lock().push_front(frame);
-            }
-            *shared.conn.lock() = None;
+            drop(conn);
             std::thread::sleep(Duration::from_millis(10));
         }
     }
+}
+
+/// Writes `frames` (oldest first) to `w` through `batch` and leaves
+/// `frames` empty. Each RESULT gets its SENT stamp as it joins the batch,
+/// before any write that carries it: a client can never hold a RESULT
+/// whose stamp is not yet in the ring, and the stamp never postdates the
+/// client's receipt (a replay re-stamps; the last stamp wins). If a write
+/// fails, every RESULT not confirmed written goes back to the front of
+/// `outbox` in its original order, ahead of anything queued meanwhile —
+/// results are precious and replay on the next connection. Acks and
+/// telemetry are dropped: they are meaningless to a future client.
+/// Returns whether everything was written.
+fn write_batch<W: Write>(
+    w: &mut W,
+    frames: &mut VecDeque<Frame>,
+    batch: &mut FrameBatch,
+    outbox: &Mutex<VecDeque<Frame>>,
+    tel: &DaemonTelemetry,
+) -> bool {
+    // Frames [0, sent) are confirmed written.
+    let mut sent = 0;
+    let mut all_written = true;
+    for (i, f) in frames.iter().enumerate() {
+        if let Frame::Result {
+            task, attempt, ok, ..
+        } = f
+        {
+            tel.event(TEL_STAGE_SENT, *task, *attempt, u64::from(*ok));
+        }
+        if batch.push(w, f).is_err() {
+            all_written = false;
+            break;
+        }
+        sent = i + 1 - batch.pending;
+    }
+    if all_written && batch.flush(w).is_err() {
+        all_written = false;
+    }
+    if !all_written {
+        let mut q = outbox.lock();
+        for f in frames.drain(sent..).rev() {
+            if matches!(f, Frame::Result { .. }) {
+                q.push_front(f);
+            }
+        }
+    }
+    frames.clear();
+    all_written
 }
 
 /// Handle to a daemon running on a thread in this process (connect-mode
@@ -726,9 +883,11 @@ struct EpShared {
     respawns: AtomicU64,
     failovers: AtomicU64,
     stale_results: AtomicU64,
-    // Wire-level observability: frame/byte counters for both directions
-    // plus telemetry ingest stats, all cheap relaxed atomics.
+    // Wire-level observability: frame/byte counters for both directions,
+    // socket writes (frames per write is the coalescing factor), plus
+    // telemetry ingest stats, all cheap relaxed atomics.
     frames_sent: AtomicU64,
+    writes: AtomicU64,
     frames_recv: AtomicU64,
     bytes_sent: AtomicU64,
     bytes_recv: AtomicU64,
@@ -754,6 +913,7 @@ impl EpShared {
             failovers: AtomicU64::new(0),
             stale_results: AtomicU64::new(0),
             frames_sent: AtomicU64::new(0),
+            writes: AtomicU64::new(0),
             frames_recv: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
             bytes_recv: AtomicU64::new(0),
@@ -898,13 +1058,16 @@ enum Ev {
 struct Conn {
     stream: TcpStream,
     epoch: u64,
+    /// Blobs shipped (or queued in `out`) on this connection.
     staged: HashSet<u64>,
+    /// Frames queued for this connection's next write.
+    out: FrameBatch,
     hb_last_sent: Instant,
     last_ack: Instant,
 }
 
 /// One in-flight attempt: its completion plus the instant its DISPATCH
-/// hit the wire (for the dispatch-roundtrip histogram).
+/// was queued for the wire (for the dispatch-roundtrip histogram).
 struct Pending {
     done: Completion,
     sent_at: Instant,
@@ -942,21 +1105,36 @@ impl Supervisor {
         self.clock0.elapsed().as_micros() as u64
     }
 
-    /// Writes one frame on the current connection, counting wire frames
-    /// and bytes. Returns `false` on failure or while disconnected
-    /// without touching connection state — callers decide whether a
-    /// failed write kills the connection.
-    fn write_frame(&self, frame: &Frame) -> bool {
-        let Some(c) = &self.conn else { return false };
-        let bytes = frame.encode();
-        if (&c.stream).write_all(&bytes).is_ok() {
-            self.shared.frames_sent.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .bytes_sent
-                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-            true
-        } else {
-            false
+    /// Queues one frame on the current connection (a no-op while
+    /// disconnected). A write this forces — the batch reached
+    /// [`COALESCE_BOUND`], or the frame is over it — that fails drops the
+    /// connection through [`Supervisor::conn_lost`].
+    fn send(&mut self, frame: &Frame) {
+        self.with_out(|out, w| out.push(w, frame));
+    }
+
+    /// Writes every queued frame in one call; a failed write drops the
+    /// connection.
+    fn flush(&mut self) {
+        self.with_out(|out, w| out.flush(w));
+    }
+
+    /// Runs `op` on the connection's batch and socket, publishes the wire
+    /// counters it advanced, and turns an IO error into a lost connection.
+    fn with_out(
+        &mut self,
+        op: impl FnOnce(&mut FrameBatch, &mut &TcpStream) -> std::io::Result<()>,
+    ) {
+        let Some(c) = &mut self.conn else { return };
+        let r = op(&mut c.out, &mut &c.stream);
+        let w = std::mem::take(&mut c.out.written);
+        self.shared.writes.fetch_add(w.writes, Ordering::Relaxed);
+        self.shared
+            .frames_sent
+            .fetch_add(w.frames, Ordering::Relaxed);
+        self.shared.bytes_sent.fetch_add(w.bytes, Ordering::Relaxed);
+        if r.is_err() {
+            self.conn_lost("write failed");
         }
     }
 
@@ -970,6 +1148,9 @@ impl Supervisor {
                 now.duration_since(c.hb_last_sent) >= self.timing.heartbeat_interval
             });
             if hb_due {
+                // Queued frames go first, so the clock sample below does
+                // not absorb their write.
+                self.flush();
                 self.hb_seq += 1;
                 // Every heartbeat is also a clock probe: the daemon
                 // echoes t_client_us back with its own stamp.
@@ -980,9 +1161,8 @@ impl Supervisor {
                 if let Some(c) = &mut self.conn {
                     c.hb_last_sent = now;
                 }
-                if !self.write_frame(&hb) {
-                    self.conn_lost("heartbeat write failed");
-                }
+                self.send(&hb);
+                self.flush();
             }
             if let Some(c) = &self.conn {
                 let silent = now.duration_since(c.last_ack);
@@ -997,10 +1177,22 @@ impl Supervisor {
                 .saturating_duration_since(Instant::now());
             match self.rx.recv_timeout(wait.max(Duration::from_millis(1))) {
                 Ok(Ev::Shutdown) => return self.shutdown(),
-                Ok(ev) => self.handle(ev),
+                Ok(ev) => {
+                    self.handle(ev);
+                    // Everything already queued behind it joins the same
+                    // batch: one write per wake-up, not one per frame.
+                    for _ in 0..self.rx.len() {
+                        match self.rx.try_recv() {
+                            Ok(Ev::Shutdown) => return self.shutdown(),
+                            Ok(ev) => self.handle(ev),
+                            Err(_) => break,
+                        }
+                    }
+                }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return self.shutdown(),
             }
+            self.flush();
         }
     }
 
@@ -1045,27 +1237,15 @@ impl Supervisor {
     /// Ships blob `key` to the current connection unless it already has
     /// it this epoch.
     fn stage_to_conn(&mut self, key: u64) {
-        let already = match &self.conn {
-            None => return,
-            Some(c) => c.staged.contains(&key),
-        };
-        if already {
-            return;
-        }
+        let Some(c) = &mut self.conn else { return };
         let Some(bytes) = self.blob_cache.get(&key) else {
             return;
         };
-        let frame = Frame::Transfer {
-            key,
-            payload: bytes.as_ref().clone(),
-        };
-        if self.write_frame(&frame) {
-            if let Some(c) = &mut self.conn {
-                c.staged.insert(key);
-            }
-        } else {
-            self.conn_lost("transfer write failed");
+        if !c.staged.insert(key) {
+            return;
         }
+        let bytes = Arc::clone(bytes);
+        self.with_out(|out, w| out.push_transfer(w, key, &bytes));
     }
 
     fn submit(&mut self, job: JobSpec, done: Completion) {
@@ -1075,7 +1255,7 @@ impl Supervisor {
         }
         // Re-stage any dep this connection epoch hasn't seen (a restarted
         // daemon lost its blob store; a reconnect cleared `staged`).
-        for d in job.deps.clone() {
+        for &d in &job.deps {
             if !self.blob_cache.contains_key(&d) {
                 done(Err(format!(
                     "dep blob {d} for task {} never staged",
@@ -1097,17 +1277,11 @@ impl Supervisor {
             // own, newer generation on the RESULT).
             generation: self.shared.generation.load(Ordering::SeqCst),
             function: job.function.to_string(),
-            deps: job.deps.clone(),
-            payload: job.payload.clone(),
+            deps: job.deps,
+            payload: job.payload,
         };
-        if !self.write_frame(&frame) {
-            self.conn_lost("dispatch write failed");
-            done(Err(format!(
-                "endpoint {} dispatch write failed",
-                self.spec.name
-            )));
-            return;
-        }
+        // Outstanding from the moment it is queued: if the write that
+        // carries it fails, `conn_lost` fails it over with the rest.
         self.outstanding.insert(
             (job.task, job.attempt),
             Pending {
@@ -1115,6 +1289,7 @@ impl Supervisor {
                 sent_at: Instant::now(),
             },
         );
+        self.send(&frame);
     }
 
     fn on_frame(&mut self, epoch: u64, frame: Frame) {
@@ -1246,10 +1421,13 @@ impl Supervisor {
                     std::thread::Builder::new()
                         .name(format!("{name}-reader-{epoch}"))
                         .spawn(move || {
-                            let mut reader = CountingReader {
-                                inner: read_half,
-                                bytes: Arc::clone(&shared),
-                            };
+                            let mut reader = BufReader::with_capacity(
+                                READ_BUF,
+                                CountingReader {
+                                    inner: read_half,
+                                    bytes: Arc::clone(&shared),
+                                },
+                            );
                             loop {
                                 match Frame::read_from(&mut reader) {
                                     Ok(f) => {
@@ -1275,6 +1453,7 @@ impl Supervisor {
                     stream,
                     epoch,
                     staged: HashSet::new(),
+                    out: FrameBatch::new(),
                     // Backdate so the first heartbeat goes out on the
                     // next loop iteration.
                     hb_last_sent: now - self.timing.heartbeat_interval,
@@ -1288,7 +1467,7 @@ impl Supervisor {
                 // cover even the first task, and re-sent on every
                 // reconnect so a respawned daemon re-subscribes.
                 if self.telemetry {
-                    let _ = self.write_frame(&Frame::TelemetrySub { level: 2 });
+                    self.send(&Frame::TelemetrySub { level: 2 });
                 }
                 // Probe flips to Alive when HELLO arrives.
             }
@@ -1378,19 +1557,20 @@ impl Supervisor {
     }
 
     fn shutdown(mut self) {
+        // Anything still queued goes out ahead of the DRAIN.
+        self.send(&Frame::Drain);
+        self.flush();
         if let Some(epoch) = self.conn.as_ref().map(|c| c.epoch) {
-            if self.write_frame(&Frame::Drain) {
-                // Give the daemon a moment to ack so it exits cleanly;
-                // results that race in still resolve normally.
-                let deadline = Instant::now() + Duration::from_millis(500);
-                'wait: while Instant::now() < deadline {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    match self.rx.recv_timeout(left.max(Duration::from_millis(1))) {
-                        Ok(Ev::Frame(e, Frame::DrainAck { .. })) if e == epoch => break 'wait,
-                        Ok(Ev::Frame(e, f)) => self.on_frame(e, f),
-                        Ok(_) | Err(RecvTimeoutError::Timeout) => break 'wait,
-                        Err(RecvTimeoutError::Disconnected) => break 'wait,
-                    }
+            // Give the daemon a moment to ack so it exits cleanly;
+            // results that race in still resolve normally.
+            let deadline = Instant::now() + Duration::from_millis(500);
+            'wait: while Instant::now() < deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match self.rx.recv_timeout(left.max(Duration::from_millis(1))) {
+                    Ok(Ev::Frame(e, Frame::DrainAck { .. })) if e == epoch => break 'wait,
+                    Ok(Ev::Frame(e, f)) => self.on_frame(e, f),
+                    Ok(_) | Err(RecvTimeoutError::Timeout) => break 'wait,
+                    Err(RecvTimeoutError::Disconnected) => break 'wait,
                 }
             }
         }
@@ -1486,6 +1666,7 @@ pub struct ProcMetricIds {
     last: ProcessCounters,
     // Wire observability (`fedci_wire_*`).
     frames_sent: CounterId,
+    writes: CounterId,
     frames_recv: CounterId,
     bytes_sent: CounterId,
     bytes_recv: CounterId,
@@ -1504,6 +1685,7 @@ pub struct ProcMetricIds {
 #[derive(Clone, Copy, Debug, Default)]
 struct WireLast {
     frames_sent: u64,
+    writes: u64,
     frames_recv: u64,
     bytes_sent: u64,
     bytes_recv: u64,
@@ -1751,6 +1933,11 @@ impl ProcessFabric {
                         "Frames written to the endpoint connection.",
                         l,
                     ),
+                    writes: reg.counter(
+                        "fedci_wire_writes_total",
+                        "Socket writes to the endpoint connection (frames per write is the coalescing factor).",
+                        l,
+                    ),
                     frames_recv: reg.counter(
                         "fedci_wire_frames_received_total",
                         "Frames decoded off the endpoint connection.",
@@ -1831,6 +2018,7 @@ impl ProcessFabric {
 
             let wire = WireLast {
                 frames_sent: s.frames_sent.load(Ordering::Relaxed),
+                writes: s.writes.load(Ordering::Relaxed),
                 frames_recv: s.frames_recv.load(Ordering::Relaxed),
                 bytes_sent: s.bytes_sent.load(Ordering::Relaxed),
                 bytes_recv: s.bytes_recv.load(Ordering::Relaxed),
@@ -1842,6 +2030,7 @@ impl ProcessFabric {
                 id.frames_sent,
                 (wire.frames_sent - id.last_wire.frames_sent) as f64,
             );
+            reg.inc(id.writes, (wire.writes - id.last_wire.writes) as f64);
             reg.inc(
                 id.frames_recv,
                 (wire.frames_recv - id.last_wire.frames_recv) as f64,
@@ -2150,6 +2339,445 @@ mod tests {
             respawn: true,
             telemetry: false,
         }
+    }
+
+    /// Records every `write` call; once `budget` bytes have gone through
+    /// (if set), further writes fail like a connection reset.
+    #[derive(Default)]
+    struct TestWriter {
+        writes: Vec<Vec<u8>>,
+        budget: Option<usize>,
+    }
+
+    impl Write for TestWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = match &mut self.budget {
+                None => buf.len(),
+                Some(0) => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::ConnectionReset,
+                        "cut",
+                    ))
+                }
+                Some(b) => {
+                    let n = buf.len().min(*b);
+                    *b -= n;
+                    n
+                }
+            };
+            self.writes.push(buf[..n].to_vec());
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn dispatch(task: u64, payload: Vec<u8>) -> Frame {
+        Frame::Dispatch {
+            task,
+            attempt: 1,
+            generation: 0,
+            function: "fnv".to_string(),
+            deps: vec![1],
+            payload,
+        }
+    }
+
+    fn result(task: u64, payload_len: usize) -> Frame {
+        Frame::Result {
+            task,
+            attempt: 1,
+            generation: 0,
+            ok: true,
+            payload: vec![task as u8; payload_len],
+        }
+    }
+
+    #[test]
+    fn frame_batch_coalesces_under_the_bound_and_sends_big_frames_alone() {
+        let mut w = TestWriter::default();
+        let mut b = FrameBatch::new();
+        let smalls: Vec<Frame> = (0..10).map(|t| dispatch(t, vec![7; 32])).collect();
+        for f in &smalls {
+            b.push(&mut w, f).unwrap();
+        }
+        assert!(w.writes.is_empty(), "nothing is written before a flush");
+        // A frame over the bound flushes the batch, then goes out from
+        // its own bytes.
+        let big = result(1, COALESCE_BOUND);
+        b.push(&mut w, &big).unwrap();
+        assert_eq!(w.writes.len(), 2);
+        assert_eq!(
+            w.writes[0],
+            smalls.iter().flat_map(Frame::encode).collect::<Vec<_>>()
+        );
+        assert_eq!(w.writes[1], big.encode());
+        // A borrowed TRANSFER over the bound: the batch, the header, then
+        // the blob itself.
+        let blob = vec![3u8; 2 * COALESCE_BOUND];
+        b.push(&mut w, &smalls[0]).unwrap();
+        b.push_transfer(&mut w, 9, &blob).unwrap();
+        assert_eq!(w.writes.len(), 5);
+        assert_eq!(w.writes[2], smalls[0].encode());
+        assert_eq!(
+            w.writes[3..].concat(),
+            Frame::Transfer {
+                key: 9,
+                payload: blob
+            }
+            .encode()
+        );
+        // A small TRANSFER joins the batch like any frame.
+        b.push_transfer(&mut w, 4, b"tiny").unwrap();
+        // Far more small frames than one write holds: every write stays
+        // within the bound and the buffer never grows past it.
+        for t in 0..5_000 {
+            b.push(&mut w, &dispatch(t, vec![1; 16])).unwrap();
+        }
+        b.flush(&mut w).unwrap();
+        assert!(w.writes.len() > 6, "the bound split the burst");
+        assert!(w.writes[5..].iter().all(|x| x.len() <= COALESCE_BOUND));
+        assert_eq!(b.buf.capacity(), COALESCE_BOUND, "batch buffer never grew");
+        let bytes: usize = w.writes.iter().map(Vec::len).sum();
+        assert_eq!(
+            b.written,
+            WriteStats {
+                writes: w.writes.len() as u64,
+                frames: 10 + 1 + 1 + 1 + 1 + 5_000,
+                bytes: bytes as u64,
+            }
+        );
+    }
+
+    #[test]
+    fn write_failure_mid_batch_requeues_results_in_order_and_drops_acks() {
+        let tel = DaemonTelemetry::new(0, 64);
+        // One coalesced write, cut partway: nothing is confirmed, so every
+        // RESULT goes back — ahead of what was queued meanwhile — and the
+        // acks are gone.
+        let batch = vec![
+            result(1, 8),
+            Frame::TransferAck { key: 1, stored: 8 },
+            result(2, 8),
+            Frame::HeartbeatAck {
+                seq: 1,
+                busy: 0,
+                t_client_us: 0,
+                t_daemon_us: 0,
+            },
+            result(3, 8),
+        ];
+        let total: usize = batch.iter().map(Frame::encoded_len).sum();
+        let outbox = Mutex::new(VecDeque::from([result(99, 8)]));
+        let mut frames: VecDeque<Frame> = batch.into();
+        let mut w = TestWriter {
+            budget: Some(total / 2),
+            ..TestWriter::default()
+        };
+        assert!(!write_batch(
+            &mut w,
+            &mut frames,
+            &mut FrameBatch::new(),
+            &outbox,
+            &tel
+        ));
+        assert!(frames.is_empty());
+        let requeued: Vec<Frame> = outbox.lock().drain(..).collect();
+        assert_eq!(
+            requeued,
+            vec![result(1, 8), result(2, 8), result(3, 8), result(99, 8)]
+        );
+
+        // Three RESULTs too big to share a write: the first write lands,
+        // the second is cut. Only the unconfirmed two come back.
+        let big = COALESCE_BOUND / 2 + 1;
+        let mut frames: VecDeque<Frame> =
+            vec![result(1, big), result(2, big), result(3, big)].into();
+        let mut w = TestWriter {
+            budget: Some(result(1, big).encoded_len() + 10),
+            ..TestWriter::default()
+        };
+        assert!(!write_batch(
+            &mut w,
+            &mut frames,
+            &mut FrameBatch::new(),
+            &outbox,
+            &tel
+        ));
+        let requeued: Vec<Frame> = outbox.lock().drain(..).collect();
+        assert_eq!(requeued, vec![result(2, big), result(3, big)]);
+    }
+
+    #[test]
+    fn result_is_stamped_sent_before_the_write_that_carries_it() {
+        // Counts the SENT stamps in the telemetry ring at each write. A
+        // stamp taken after the write would let a fast client read the
+        // RESULT, heartbeat, and get a telemetry flush without it.
+        struct StampProbe<'a>(&'a DaemonTelemetry, Vec<usize>);
+        impl Write for StampProbe<'_> {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.1.push(self.0.ring.lock().events.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let tel = DaemonTelemetry::new(0, 64);
+        tel.level.store(2, Ordering::Relaxed);
+        let mut frames: VecDeque<Frame> = vec![
+            result(1, 8),
+            Frame::TransferAck { key: 1, stored: 8 },
+            result(2, 8),
+        ]
+        .into();
+        let mut probe = StampProbe(&tel, Vec::new());
+        let outbox = Mutex::new(VecDeque::new());
+        assert!(write_batch(
+            &mut probe,
+            &mut frames,
+            &mut FrameBatch::new(),
+            &outbox,
+            &tel
+        ));
+        assert_eq!(probe.1, vec![2], "one write, both stamps already taken");
+        let stamped: Vec<(u8, u64)> = tel
+            .ring
+            .lock()
+            .events
+            .iter()
+            .map(|e| (e.stage, e.task))
+            .collect();
+        assert_eq!(stamped, vec![(TEL_STAGE_SENT, 1), (TEL_STAGE_SENT, 2)]);
+    }
+
+    #[test]
+    fn daemon_reassembles_frames_split_at_arbitrary_segment_boundaries() {
+        let daemon = spawn_daemon_thread(DaemonConfig::new("seg", 2)).unwrap();
+        let mut s = TcpStream::connect(daemon.addr()).unwrap();
+        s.set_nodelay(true).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert!(matches!(
+            Frame::read_from(&mut s).unwrap(),
+            Frame::Hello { .. }
+        ));
+        // A TRANSFER larger than the daemon's read buffer, then 200
+        // DISPATCHes, half of them reading the blob.
+        let blob: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let mut wire = Frame::Transfer {
+            key: 7,
+            payload: blob.clone(),
+        }
+        .encode();
+        let n = 200u64;
+        for task in 0..n {
+            Frame::Dispatch {
+                task,
+                attempt: 1,
+                generation: 0,
+                function: "fnv".to_string(),
+                deps: if task % 2 == 0 { vec![7] } else { vec![] },
+                payload: task.to_le_bytes().to_vec(),
+            }
+            .encode_into(&mut wire);
+        }
+        // Seeded random chunks of 1–4096 bytes, each its own write: frame
+        // boundaries land anywhere inside a segment, and frames straddle
+        // segments.
+        let mut rng = StdRng::seed_from_u64(0x5e6);
+        let mut at = 0;
+        while at < wire.len() {
+            let k = rng.gen_range(1..=4096usize).min(wire.len() - at);
+            s.write_all(&wire[at..at + k]).unwrap();
+            at += k;
+        }
+        let mut results = HashMap::new();
+        while results.len() < n as usize {
+            match Frame::read_from(&mut s).unwrap() {
+                Frame::Result {
+                    task, ok, payload, ..
+                } => {
+                    assert!(ok, "task {task} failed: {payload:?}");
+                    assert!(results.insert(task, payload).is_none(), "task {task} twice");
+                }
+                Frame::TransferAck { key, stored } => assert_eq!((key, stored), (7, 100_000)),
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        for task in 0..n {
+            let mut input = if task % 2 == 0 {
+                blob.clone()
+            } else {
+                Vec::new()
+            };
+            input.extend_from_slice(&task.to_le_bytes());
+            assert_eq!(
+                results[&task],
+                crate::fabric::fnv1a64(&input).to_le_bytes().to_vec(),
+                "task {task}"
+            );
+        }
+        drop(s);
+        // The daemon is back at accept and serves the next client.
+        let mut s = TcpStream::connect(daemon.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert!(matches!(
+            Frame::read_from(&mut s).unwrap(),
+            Frame::Hello { .. }
+        ));
+        Frame::Dispatch {
+            task: 1_000,
+            attempt: 1,
+            generation: 0,
+            function: "echo".to_string(),
+            deps: vec![],
+            payload: b"next".to_vec(),
+        }
+        .write_to(&mut s)
+        .unwrap();
+        loop {
+            match Frame::read_from(&mut s).unwrap() {
+                Frame::Result { task, payload, .. } => {
+                    assert_eq!((task, payload.as_slice()), (1_000, &b"next"[..]));
+                    break;
+                }
+                // A straggling ack from the first client may land here.
+                Frame::TransferAck { .. } => {}
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        Frame::Drain.write_to(&mut s).unwrap();
+        while !matches!(Frame::read_from(&mut s).unwrap(), Frame::DrainAck { .. }) {}
+        daemon.join().unwrap();
+    }
+
+    /// Counters the coalescing test compares before and after a burst.
+    fn wire_counts(f: &ProcessFabric) -> (u64, u64, u64) {
+        let s = &f.shared[0];
+        (
+            s.writes.load(Ordering::Relaxed),
+            s.frames_sent.load(Ordering::Relaxed),
+            s.bytes_sent.load(Ordering::Relaxed),
+        )
+    }
+
+    #[test]
+    fn queued_dispatches_coalesce_into_few_writes_with_per_frame_counts() {
+        let daemon = spawn_daemon_thread(DaemonConfig::new("burst", 2)).unwrap();
+        // Heartbeats far apart, so the only writes during the test are
+        // the ones it causes.
+        let timing = FabricTiming {
+            heartbeat_interval: Duration::from_secs(30),
+            suspect_after: Duration::from_secs(60),
+            down_after: Duration::from_secs(90),
+            ..FabricTiming::fast()
+        };
+        let fabric = ProcessFabric::new(
+            vec![ProcessEndpointSpec {
+                name: "burst".to_string(),
+                workers: 2,
+                mode: EndpointMode::Connect {
+                    addr: daemon.addr().to_string(),
+                },
+            }],
+            ProcessFabricConfig {
+                timing,
+                ..fast_cfg(5)
+            },
+        );
+        assert!(fabric.wait_probe(0, ProbeState::Alive, Duration::from_secs(5)));
+        let job = |task: u64, payload: Vec<u8>| JobSpec {
+            task,
+            attempt: 1,
+            function: Arc::from("echo"),
+            deps: vec![],
+            payload,
+        };
+        let frame_len = |task: u64, payload: &[u8]| {
+            Frame::Dispatch {
+                task,
+                attempt: 1,
+                generation: 0,
+                function: "echo".to_string(),
+                deps: vec![],
+                payload: payload.to_vec(),
+            }
+            .encoded_len() as u64
+        };
+        // Parks the supervisor inside a completion (completions run on
+        // its thread) so a burst queues up behind it, then runs `burst`
+        // and releases it. Returns the burst's results, in task order.
+        let run_burst = |first: u64, payloads: Vec<Vec<u8>>| {
+            let (parked_tx, parked_rx) = mpsc::channel();
+            let (gate_tx, gate_rx) = mpsc::channel::<()>();
+            fabric.submit(
+                0,
+                job(first, b"park".to_vec()),
+                Box::new(move |r| {
+                    parked_tx.send(r).unwrap();
+                    gate_rx.recv().unwrap();
+                }),
+            );
+            parked_rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap()
+                .unwrap();
+            let before = wire_counts(&fabric);
+            let (tx, rx) = mpsc::channel();
+            let mut bytes = 0;
+            for (i, p) in payloads.iter().enumerate() {
+                let task = first + 1 + i as u64;
+                bytes += frame_len(task, p);
+                let tx = tx.clone();
+                fabric.submit(
+                    0,
+                    job(task, p.clone()),
+                    Box::new(move |r| tx.send((task, r)).unwrap()),
+                );
+            }
+            gate_tx.send(()).unwrap();
+            let mut got: Vec<(u64, Vec<u8>)> = (0..payloads.len())
+                .map(|_| {
+                    let (task, r) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+                    (task, r.unwrap())
+                })
+                .collect();
+            got.sort();
+            for ((_, out), want) in got.iter().zip(&payloads) {
+                assert_eq!(out, want, "echo came back intact");
+            }
+            let after = wire_counts(&fabric);
+            (
+                after.0 - before.0,
+                after.1 - before.1,
+                after.2 - before.2,
+                bytes,
+            )
+        };
+
+        // 200 DISPATCHes queued before the supervisor wakes leave in one
+        // write; frames and bytes count exactly as frame-by-frame writing
+        // would have.
+        let n = 200;
+        let (writes, frames, bytes, want_bytes) = run_burst(0, vec![b"abc".to_vec(); n]);
+        assert!(writes < n as u64, "{writes} writes for {n} frames");
+        assert_eq!(writes, 1);
+        assert_eq!((frames, bytes), (n as u64, want_bytes));
+
+        // A DISPATCH over the bound between two runs of small ones: the
+        // first run is flushed, the big frame goes out on its own, and
+        // the second run follows in a third write.
+        let mut payloads = vec![b"x".to_vec(); 10];
+        payloads.push(vec![9; COALESCE_BOUND + 1]);
+        payloads.extend(vec![b"y".to_vec(); 10]);
+        let (writes, frames, bytes, want_bytes) = run_burst(1_000, payloads);
+        assert_eq!(writes, 3);
+        assert_eq!((frames, bytes), (21, want_bytes));
+
+        fabric.shutdown();
+        daemon.join().unwrap();
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub const TEL_STAGE_RECV: u8 = 1;
 pub const TEL_STAGE_EXEC_BEGIN: u8 = 2;
 /// [`TelemetryEvent::stage`]: execution finished (`arg` = 1 ok, 0 error).
 pub const TEL_STAGE_EXEC_END: u8 = 3;
-/// [`TelemetryEvent::stage`]: the RESULT frame was written to the socket
-/// (`arg` = 1 ok, 0 error).
+/// [`TelemetryEvent::stage`]: the RESULT frame was handed to the socket
+/// writer, just before the write that carries it (`arg` = 1 ok, 0 error).
 pub const TEL_STAGE_SENT: u8 = 4;
 /// [`TelemetryEvent::stage`]: chaos swallowed the attempt — no RESULT
 /// will ever come (`arg` unused).
@@ -302,8 +302,46 @@ impl Frame {
 
     /// Encodes the frame, header included.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&self.kind().to_le_bytes());
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded frame, header included, to `out` in one pass:
+    /// the length header is written as a placeholder and patched once the
+    /// body is in place, so frames can be packed back to back into one
+    /// write buffer without an intermediate allocation.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        self.put_body(out);
+        let len = (out.len() - start - 4) as u32;
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Length of [`Frame::encode`]'s output, computed without encoding.
+    pub fn encoded_len(&self) -> usize {
+        let mut n = ByteCount(4);
+        self.put_body(&mut n);
+        n.0
+    }
+
+    /// The header of a TRANSFER frame for a `payload_len`-byte blob: the
+    /// frame is exactly these bytes followed by the blob, so a sender can
+    /// ship a blob it holds behind a shared pointer without copying it
+    /// into a [`Frame::Transfer`].
+    pub fn transfer_header(key: u64, payload_len: usize) -> [u8; 18] {
+        let mut h = [0u8; 18];
+        h[..4].copy_from_slice(&((2 + 8 + 4 + payload_len) as u32).to_le_bytes());
+        h[4..6].copy_from_slice(&6u16.to_le_bytes());
+        h[6..14].copy_from_slice(&key.to_le_bytes());
+        h[14..].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        h
+    }
+
+    /// Writes the kind tag and body (everything after the length header).
+    fn put_body<S: Sink>(&self, body: &mut S) {
+        body.put(&self.kind().to_le_bytes());
         match self {
             Frame::Hello {
                 proto,
@@ -311,10 +349,10 @@ impl Frame {
                 workers,
                 generation,
             } => {
-                body.extend_from_slice(&proto.to_le_bytes());
-                put_str(&mut body, name);
-                body.extend_from_slice(&workers.to_le_bytes());
-                body.extend_from_slice(&generation.to_le_bytes());
+                body.put(&proto.to_le_bytes());
+                put_str(body, name);
+                body.put(&workers.to_le_bytes());
+                body.put(&generation.to_le_bytes());
             }
             Frame::Dispatch {
                 task,
@@ -324,15 +362,15 @@ impl Frame {
                 deps,
                 payload,
             } => {
-                body.extend_from_slice(&task.to_le_bytes());
-                body.extend_from_slice(&attempt.to_le_bytes());
-                body.extend_from_slice(&generation.to_le_bytes());
-                put_str(&mut body, function);
-                body.extend_from_slice(&(deps.len() as u16).to_le_bytes());
+                body.put(&task.to_le_bytes());
+                body.put(&attempt.to_le_bytes());
+                body.put(&generation.to_le_bytes());
+                put_str(body, function);
+                body.put(&(deps.len() as u16).to_le_bytes());
                 for d in deps {
-                    body.extend_from_slice(&d.to_le_bytes());
+                    body.put(&d.to_le_bytes());
                 }
-                put_bytes(&mut body, payload);
+                put_bytes(body, payload);
             }
             Frame::Result {
                 task,
@@ -341,11 +379,11 @@ impl Frame {
                 ok,
                 payload,
             } => {
-                body.extend_from_slice(&task.to_le_bytes());
-                body.extend_from_slice(&attempt.to_le_bytes());
-                body.extend_from_slice(&generation.to_le_bytes());
-                body.push(u8::from(*ok));
-                put_bytes(&mut body, payload);
+                body.put(&task.to_le_bytes());
+                body.put(&attempt.to_le_bytes());
+                body.put(&generation.to_le_bytes());
+                body.put(&[u8::from(*ok)]);
+                put_bytes(body, payload);
             }
             Frame::Poll | Frame::Drain => {}
             Frame::PollAck {
@@ -353,21 +391,21 @@ impl Frame {
                 queued,
                 completed,
             } => {
-                body.extend_from_slice(&busy.to_le_bytes());
-                body.extend_from_slice(&queued.to_le_bytes());
-                body.extend_from_slice(&completed.to_le_bytes());
+                body.put(&busy.to_le_bytes());
+                body.put(&queued.to_le_bytes());
+                body.put(&completed.to_le_bytes());
             }
             Frame::Transfer { key, payload } => {
-                body.extend_from_slice(&key.to_le_bytes());
-                put_bytes(&mut body, payload);
+                body.put(&key.to_le_bytes());
+                put_bytes(body, payload);
             }
             Frame::TransferAck { key, stored } => {
-                body.extend_from_slice(&key.to_le_bytes());
-                body.extend_from_slice(&stored.to_le_bytes());
+                body.put(&key.to_le_bytes());
+                body.put(&stored.to_le_bytes());
             }
             Frame::Heartbeat { seq, t_client_us } => {
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.extend_from_slice(&t_client_us.to_le_bytes());
+                body.put(&seq.to_le_bytes());
+                body.put(&t_client_us.to_le_bytes());
             }
             Frame::HeartbeatAck {
                 seq,
@@ -375,16 +413,16 @@ impl Frame {
                 t_client_us,
                 t_daemon_us,
             } => {
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.extend_from_slice(&busy.to_le_bytes());
-                body.extend_from_slice(&t_client_us.to_le_bytes());
-                body.extend_from_slice(&t_daemon_us.to_le_bytes());
+                body.put(&seq.to_le_bytes());
+                body.put(&busy.to_le_bytes());
+                body.put(&t_client_us.to_le_bytes());
+                body.put(&t_daemon_us.to_le_bytes());
             }
             Frame::DrainAck { remaining } => {
-                body.extend_from_slice(&remaining.to_le_bytes());
+                body.put(&remaining.to_le_bytes());
             }
             Frame::TelemetrySub { level } => {
-                body.push(*level);
+                body.put(&[*level]);
             }
             Frame::Telemetry {
                 generation,
@@ -393,32 +431,28 @@ impl Frame {
                 counters,
                 exec_buckets,
             } => {
-                body.extend_from_slice(&generation.to_le_bytes());
-                body.extend_from_slice(&seq.to_le_bytes());
-                body.extend_from_slice(&(events.len() as u32).to_le_bytes());
+                body.put(&generation.to_le_bytes());
+                body.put(&seq.to_le_bytes());
+                body.put(&(events.len() as u32).to_le_bytes());
                 for e in events {
-                    body.push(e.stage);
-                    body.extend_from_slice(&e.t_us.to_le_bytes());
-                    body.extend_from_slice(&e.task.to_le_bytes());
-                    body.extend_from_slice(&e.attempt.to_le_bytes());
-                    body.extend_from_slice(&e.arg.to_le_bytes());
+                    body.put(&[e.stage]);
+                    body.put(&e.t_us.to_le_bytes());
+                    body.put(&e.task.to_le_bytes());
+                    body.put(&e.attempt.to_le_bytes());
+                    body.put(&e.arg.to_le_bytes());
                 }
-                body.extend_from_slice(&(counters.len() as u16).to_le_bytes());
+                body.put(&(counters.len() as u16).to_le_bytes());
                 for (code, value) in counters {
-                    body.extend_from_slice(&code.to_le_bytes());
-                    body.extend_from_slice(&value.to_le_bytes());
+                    body.put(&code.to_le_bytes());
+                    body.put(&value.to_le_bytes());
                 }
-                body.extend_from_slice(&(exec_buckets.len() as u16).to_le_bytes());
+                body.put(&(exec_buckets.len() as u16).to_le_bytes());
                 for (bucket, count) in exec_buckets {
-                    body.extend_from_slice(&bucket.to_le_bytes());
-                    body.extend_from_slice(&count.to_le_bytes());
+                    body.put(&bucket.to_le_bytes());
+                    body.put(&count.to_le_bytes());
                 }
             }
         }
-        let mut out = Vec::with_capacity(4 + body.len());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
     }
 
     /// Decodes one frame from `buf`, which must contain exactly the frame
@@ -573,15 +607,35 @@ fn decode_body(c: &mut Cursor<'_>) -> Result<Frame, ProtoError> {
     })
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "string field too long");
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// Where [`Frame::put_body`] writes: a byte buffer when encoding, a
+/// running total when sizing, so both follow the one layout.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+fn put_str<S: Sink>(out: &mut S, s: &str) {
+    debug_assert!(s.len() <= u16::MAX as usize, "string field too long");
+    out.put(&(s.len() as u16).to_le_bytes());
+    out.put(s.as_bytes());
+}
+
+fn put_bytes<S: Sink>(out: &mut S, b: &[u8]) {
+    out.put(&(b.len() as u32).to_le_bytes());
+    out.put(b);
 }
 
 /// `read_exact` with EOF mapped to [`ProtoError::Truncated`]; other IO
@@ -753,6 +807,7 @@ mod tests {
     fn round_trips_every_kind() {
         for f in all_frames() {
             let bytes = f.encode();
+            assert_eq!(f.encoded_len(), bytes.len());
             assert_eq!(Frame::decode(&bytes).unwrap(), f, "decode(encode) != id");
             let mut r = std::io::Cursor::new(bytes.clone());
             assert_eq!(Frame::read_from(&mut r).unwrap(), f);

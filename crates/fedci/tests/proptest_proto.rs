@@ -151,6 +151,27 @@ proptest! {
         prop_assert_eq!(&Frame::read_from(&mut r).unwrap(), &frame);
     }
 
+    /// `encode_into` appends exactly `encode()` after whatever the buffer
+    /// already holds, and `encoded_len` predicts its length.
+    #[test]
+    fn encode_into_appends_encode(frame in arb_frame(), prefix in arb_payload()) {
+        let mut buf = prefix.clone();
+        frame.encode_into(&mut buf);
+        let mut want = prefix;
+        want.extend_from_slice(&frame.encode());
+        prop_assert_eq!(buf, want);
+        prop_assert_eq!(frame.encoded_len(), frame.encode().len());
+    }
+
+    /// A TRANSFER encoded from a borrowed blob (header, then the blob's
+    /// own bytes) is byte-identical to the owned frame's encoding.
+    #[test]
+    fn borrowed_transfer_encoding_matches_owned(key in 0u64..u64::MAX, payload in arb_payload()) {
+        let mut borrowed = Frame::transfer_header(key, payload.len()).to_vec();
+        borrowed.extend_from_slice(&payload);
+        prop_assert_eq!(borrowed, Frame::Transfer { key, payload }.encode());
+    }
+
     /// Concatenated frames stream back in order through `read_from`.
     #[test]
     fn streams_preserve_frame_order(frames in vec(arb_frame(), 1..6)) {
