@@ -133,6 +133,40 @@ fn sigkill_mid_run_respawns_and_loses_nothing() {
 }
 
 #[test]
+fn sigkill_after_a_producer_resolves_restages_its_kept_output() {
+    // The daemon keeps each ok output where it was made, so a consumer on
+    // the producer's endpoint needs no TRANSFER. Once that daemon dies
+    // with the output, the respawned generation must get it re-staged
+    // from the client's cache.
+    let fabric = Arc::new(ProcessFabric::new(
+        vec![spawn_spec("solo", 1)],
+        fast_cfg(11),
+    ));
+    let rt = FabricRuntime::new(Arc::clone(&fabric) as Arc<dyn Fabric>).with_retry(retry_policy());
+    let producer = rt.submit("echo", b"kept".to_vec(), &[]);
+    assert_eq!(producer.wait().unwrap().as_slice(), b"kept");
+    let before = rt.submit("echo", b"!".to_vec(), &[&producer]);
+    assert_eq!(before.wait().unwrap().as_slice(), b"kept!");
+    assert_eq!(fabric.counters(0).transfers, 0, "the output stayed put");
+    fabric.kill(0);
+    let start = Instant::now();
+    while fabric.generation(0) < 1 || fabric.probe(0) != ProbeState::Alive {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "no respawn: {:?}",
+            fabric.counters(0)
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let after = rt.submit("echo", b"?".to_vec(), &[&producer]);
+    assert_eq!(after.wait().unwrap().as_slice(), b"kept?");
+    rt.wait_all();
+    let c = fabric.counters(0);
+    assert!(c.respawns >= 1 && c.transfers >= 1, "{c:?}");
+    fabric.shutdown();
+}
+
+#[test]
 fn sigkill_with_hundreds_of_frames_in_flight_loses_nothing() {
     // 2,000 independent tasks submitted at once: the dispatches leave in
     // coalesced batches, so when the victim dies it holds hundreds of

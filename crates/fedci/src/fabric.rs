@@ -34,9 +34,13 @@ use std::time::{Duration, Instant};
 /// The outcome of one job attempt: result bytes or an error message.
 pub type FabricResult = Result<Vec<u8>, String>;
 
+/// An attempt's outcome as its [`Completion`] receives it: the output
+/// shares its allocation with the copy the endpoint keeps.
+pub type JobOutput = Result<Arc<Vec<u8>>, String>;
+
 /// Completion callback for one submitted attempt. Called exactly once,
 /// from a fabric-owned thread.
-pub type Completion = Box<dyn FnOnce(FabricResult) + Send + 'static>;
+pub type Completion = Box<dyn FnOnce(JobOutput) + Send + 'static>;
 
 /// A function call the fabric can ship across a process boundary.
 ///
@@ -99,13 +103,22 @@ pub trait Fabric: Send + Sync {
 
     /// Makes blob `key` available at `ep` for later [`JobSpec::deps`]
     /// references. Idempotent per connection epoch: the fabric tracks
-    /// what `ep` already holds and re-ships after a reconnect/restart.
-    /// Fire-and-forget; a lost blob surfaces as a failed dispatch.
+    /// what `ep` already holds — blobs staged there and outputs it
+    /// produced (see [`Fabric::submit`]) — and ships nothing for those; it
+    /// re-ships after a reconnect/restart. Fire-and-forget; a lost blob
+    /// surfaces as a failed dispatch.
     fn stage(&self, ep: usize, key: u64, bytes: &Arc<Vec<u8>>);
 
     /// Submits one attempt to `ep`. `done` fires exactly once — with the
     /// function's result, or `Err` if the attempt was lost (endpoint
     /// down, connection cut, unknown function, missing input blob).
+    ///
+    /// An ok attempt's output is held at `ep` under key [`JobSpec::task`]
+    /// for that connection epoch, as if staged there: a later job on `ep`
+    /// can list the task in its deps, and staging it costs no transfer.
+    /// This relies on registered functions being deterministic (pinned
+    /// for the builtins by `builtins_are_deterministic`): a duplicate or
+    /// retried attempt rewrites the key with the same bytes.
     fn submit(&self, ep: usize, job: JobSpec, done: Completion);
 
     /// Gracefully stops the fabric (drains daemons/pools). Idempotent.
@@ -360,11 +373,12 @@ pub fn assemble_input(
 /// The in-process fabric: [`ThreadedEndpoint`] worker pools behind the
 /// [`Fabric`] trait.
 ///
-/// Staged blobs live in a per-endpoint map (the analogue of an endpoint's
-/// shared filesystem); jobs execute registry functions on the pool's
-/// workers. Fault injection flows through the pool's [`PoolFaults`]
-/// switches — a down pool fails its probe and swallows submissions, which
-/// is exactly the loss mode the client's watchdog recovers.
+/// Staged blobs and the outputs of ok attempts live in a per-endpoint
+/// map (the analogue of an endpoint's shared filesystem); jobs execute
+/// registry functions on the pool's workers. Fault injection flows
+/// through the pool's [`PoolFaults`] switches — a down pool fails its
+/// probe and swallows submissions, which is exactly the loss mode the
+/// client's watchdog recovers.
 ///
 /// [`PoolFaults`]: crate::threaded::PoolFaults
 pub struct ThreadedFabric {
@@ -455,6 +469,13 @@ impl Fabric for ThreadedFabric {
                 None => Err(format!("unknown function `{}`", job.function)),
                 Some(f) => assemble_input(&blobs.lock(), &job).and_then(|input| f(&input)),
             };
+            // The output stays here under the task's key (see
+            // `Fabric::submit`), sharing one allocation with the result.
+            let result = result.map(|out| {
+                let out = Arc::new(out);
+                blobs.lock().insert(job.task, Arc::clone(&out));
+                out
+            });
             // Report after the worker frees, so dependents see this
             // worker as placeable capacity (same as the live runtime).
             Some(Box::new(move || done(result)) as Box<dyn FnOnce() + Send>)
@@ -598,7 +619,35 @@ mod tests {
             Box::new(move |r| tx.send(r).unwrap()),
         );
         let got = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
-        assert_eq!(got, b"hello world".to_vec());
+        assert_eq!(got.as_slice(), b"hello world");
+    }
+
+    #[test]
+    fn threaded_fabric_keeps_ok_outputs_where_they_were_made() {
+        let fabric = ThreadedFabric::new(&[("a", 1), ("b", 1)], &FabricTiming::fast());
+        let run = |ep: usize, task: u64, function: &str, deps: Vec<u64>| {
+            let (tx, rx) = mpsc::channel();
+            let job = JobSpec {
+                task,
+                attempt: 1,
+                function: Arc::from(function),
+                deps,
+                payload: b"!".to_vec(),
+            };
+            fabric.submit(ep, job, Box::new(move |r| tx.send(r).unwrap()));
+            rx.recv_timeout(Duration::from_secs(5)).unwrap()
+        };
+        let out = run(0, 5, "echo", vec![]).unwrap();
+        // The endpoint's copy is the very allocation the completion got.
+        assert!(Arc::ptr_eq(&out, &fabric.blobs[0].lock()[&5]));
+        // A consumer on the producer's endpoint needs no staging...
+        assert_eq!(run(0, 6, "echo", vec![5]).unwrap().as_slice(), b"!!");
+        // ...one elsewhere still does, and a failed attempt keeps nothing.
+        assert!(run(1, 7, "echo", vec![5])
+            .unwrap_err()
+            .contains("missing input blob 5"));
+        assert!(run(1, 8, "fail", vec![]).is_err());
+        assert!(!fabric.blobs[1].lock().contains_key(&8));
     }
 
     #[test]

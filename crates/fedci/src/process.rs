@@ -7,9 +7,10 @@
 //!   endpoint as its own OS process. It binds a listener, announces the
 //!   bound address, and serves one client connection at a time with the
 //!   [`crate::proto`] framing: blobs staged by TRANSFER, work arriving as
-//!   DISPATCH, results flowing back as RESULT, liveness answered per
-//!   HEARTBEAT. Results produced while the client is away are queued and
-//!   **replayed on the next connection** — deliberately, because that is
+//!   DISPATCH, results flowing back as RESULT (each ok output also kept
+//!   as blob `task`, so consumers placed here need no TRANSFER), liveness
+//!   answered per HEARTBEAT. Results produced while the client is away
+//!   are queued and **replayed on the next connection** — deliberately, because that is
 //!   exactly the stale-RESULT case the client's attempt-generation guard
 //!   must absorb.
 //! * **Client** ([`ProcessFabric`]): one supervisor thread per endpoint
@@ -127,23 +128,23 @@ impl FrameBatch {
         }
     }
 
-    /// [`FrameBatch::push`] for a TRANSFER of `payload`, encoded from the
-    /// caller's bytes (a shared blob is never copied into a
-    /// [`Frame::Transfer`] just to be encoded).
-    fn push_transfer<W: Write>(
+    /// [`FrameBatch::push`] for a frame given as its header
+    /// ([`Frame::transfer_header`], [`Frame::result_header`]) and the
+    /// caller's payload bytes: a shared blob is never copied into a
+    /// [`Frame`] just to be encoded.
+    fn push_split<W: Write>(
         &mut self,
         w: &mut W,
-        key: u64,
+        head: &[u8],
         payload: &[u8],
     ) -> std::io::Result<()> {
-        let head = Frame::transfer_header(key, payload.len());
         if self.make_room(w, head.len() + payload.len())? {
-            self.buf.extend_from_slice(&head);
+            self.buf.extend_from_slice(head);
             self.buf.extend_from_slice(payload);
             self.pending += 1;
             Ok(())
         } else {
-            self.write_direct(w, &head, 0)?;
+            self.write_direct(w, head, 0)?;
             self.write_direct(w, payload, 1)
         }
     }
@@ -238,12 +239,51 @@ impl DaemonConfig {
     }
 }
 
+/// A frame in the daemon's outbox.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Outgoing {
+    /// A RESULT, its payload shared with the blob store when it is an
+    /// output the daemon keeps. Encoded with [`Frame::result_header`].
+    Result {
+        task: u64,
+        attempt: u32,
+        generation: u64,
+        ok: bool,
+        payload: Arc<Vec<u8>>,
+    },
+    /// Any other frame: acks and telemetry.
+    Frame(Frame),
+}
+
+/// A RESULT always becomes [`Outgoing::Result`], the variant a failed
+/// write puts back for replay.
+impl From<Frame> for Outgoing {
+    fn from(f: Frame) -> Self {
+        match f {
+            Frame::Result {
+                task,
+                attempt,
+                generation,
+                ok,
+                payload,
+            } => Outgoing::Result {
+                task,
+                attempt,
+                generation,
+                ok,
+                payload: Arc::new(payload),
+            },
+            f => Outgoing::Frame(f),
+        }
+    }
+}
+
 /// State shared between the daemon's accept loop, workers and writer.
 struct DaemonShared {
     /// Frames awaiting write, in order. RESULTs that fail to write (or
     /// arrive while disconnected) survive here for replay; acks are
     /// connection-scoped and dropped on write failure.
-    outbox: Mutex<VecDeque<Frame>>,
+    outbox: Mutex<VecDeque<Outgoing>>,
     outbox_cv: Condvar,
     /// Current client connection (write half, cloned once per
     /// connection); `None` while between clients. The writer thread
@@ -257,8 +297,8 @@ struct DaemonShared {
 }
 
 impl DaemonShared {
-    fn push(&self, f: Frame) {
-        self.outbox.lock().push_back(f);
+    fn push(&self, f: impl Into<Outgoing>) {
+        self.outbox.lock().push_back(f.into());
         self.outbox_cv.notify_all();
     }
 }
@@ -639,15 +679,22 @@ fn daemon_worker(
         }
         shared.busy.fetch_sub(1, Ordering::SeqCst);
         shared.completed.fetch_add(1, Ordering::SeqCst);
-        let result = Frame::Result {
+        let payload = match outcome {
+            // Kept as blob `task` (the revision-3 contract), before the
+            // RESULT that shares it can reach the client.
+            Ok(bytes) => {
+                let out = Arc::new(bytes);
+                blobs.lock().insert(job.task, Arc::clone(&out));
+                out
+            }
+            Err(msg) => Arc::new(msg.into_bytes()),
+        };
+        let result = Outgoing::Result {
             task: job.task,
             attempt: job.attempt,
             generation: tel.generation,
             ok,
-            payload: match outcome {
-                Ok(bytes) => bytes,
-                Err(msg) => msg.into_bytes(),
-            },
+            payload,
         };
         if chaos.dup_results {
             shared.push(result.clone());
@@ -703,22 +750,30 @@ fn daemon_writer(shared: &DaemonShared, tel: &DaemonTelemetry) {
 /// Returns whether everything was written.
 fn write_batch<W: Write>(
     w: &mut W,
-    frames: &mut VecDeque<Frame>,
+    frames: &mut VecDeque<Outgoing>,
     batch: &mut FrameBatch,
-    outbox: &Mutex<VecDeque<Frame>>,
+    outbox: &Mutex<VecDeque<Outgoing>>,
     tel: &DaemonTelemetry,
 ) -> bool {
     // Frames [0, sent) are confirmed written.
     let mut sent = 0;
     let mut all_written = true;
     for (i, f) in frames.iter().enumerate() {
-        if let Frame::Result {
-            task, attempt, ok, ..
-        } = f
-        {
-            tel.event(TEL_STAGE_SENT, *task, *attempt, u64::from(*ok));
-        }
-        if batch.push(w, f).is_err() {
+        let pushed = match f {
+            Outgoing::Result {
+                task,
+                attempt,
+                generation,
+                ok,
+                payload,
+            } => {
+                tel.event(TEL_STAGE_SENT, *task, *attempt, u64::from(*ok));
+                let head = Frame::result_header(*task, *attempt, *generation, *ok, payload.len());
+                batch.push_split(w, &head, payload)
+            }
+            Outgoing::Frame(f) => batch.push(w, f),
+        };
+        if pushed.is_err() {
             all_written = false;
             break;
         }
@@ -730,7 +785,7 @@ fn write_batch<W: Write>(
     if !all_written {
         let mut q = outbox.lock();
         for f in frames.drain(sent..).rev() {
-            if matches!(f, Frame::Result { .. }) {
+            if matches!(f, Outgoing::Result { .. }) {
                 q.push_front(f);
             }
         }
@@ -870,6 +925,8 @@ pub struct ProcessCounters {
     /// RESULT frames dropped because no matching (task, attempt) was
     /// outstanding — replays from resurrected endpoints, duplicates.
     pub stale_results: u64,
+    /// Blobs shipped by TRANSFER, re-ships after a reconnect included.
+    pub transfers: u64,
 }
 
 /// Per-endpoint state shared between the supervisor thread and the
@@ -883,6 +940,7 @@ struct EpShared {
     respawns: AtomicU64,
     failovers: AtomicU64,
     stale_results: AtomicU64,
+    transfers: AtomicU64,
     // Wire-level observability: frame/byte counters for both directions,
     // socket writes (frames per write is the coalescing factor), plus
     // telemetry ingest stats, all cheap relaxed atomics.
@@ -912,6 +970,7 @@ impl EpShared {
             respawns: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             stale_results: AtomicU64::new(0),
+            transfers: AtomicU64::new(0),
             frames_sent: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             frames_recv: AtomicU64::new(0),
@@ -1047,6 +1106,15 @@ enum Ev {
     Submit(JobSpec, Completion),
     /// A frame from the reader of connection-epoch `.0`.
     Frame(u64, Frame),
+    /// A RESULT from the reader of connection-epoch `epoch`, its payload
+    /// already behind the `Arc` a completion receives.
+    Result {
+        epoch: u64,
+        task: u64,
+        attempt: u32,
+        ok: bool,
+        payload: Arc<Vec<u8>>,
+    },
     /// The reader of connection-epoch `.0` hit EOF/error.
     ReaderClosed(u64),
     /// SIGKILL the child (chaos hook).
@@ -1058,7 +1126,8 @@ enum Ev {
 struct Conn {
     stream: TcpStream,
     epoch: u64,
-    /// Blobs shipped (or queued in `out`) on this connection.
+    /// Blobs shipped (or queued in `out`) on this connection, and the
+    /// tasks whose ok outputs the daemon produced and kept on it.
     staged: HashSet<u64>,
     /// Frames queued for this connection's next write.
     out: FrameBatch,
@@ -1223,7 +1292,22 @@ impl Supervisor {
                 self.stage_to_conn(key);
             }
             Ev::Submit(job, done) => self.submit(job, done),
-            Ev::Frame(epoch, frame) => self.on_frame(epoch, frame),
+            Ev::Frame(epoch, frame) => {
+                if self.heard_from(epoch) {
+                    self.on_frame(frame);
+                }
+            }
+            Ev::Result {
+                epoch,
+                task,
+                attempt,
+                ok,
+                payload,
+            } => {
+                if self.heard_from(epoch) {
+                    self.on_result(task, attempt, ok, payload);
+                }
+            }
             Ev::ReaderClosed(epoch) => {
                 if self.conn.as_ref().is_some_and(|c| c.epoch == epoch) {
                     self.conn_lost("connection closed");
@@ -1245,7 +1329,9 @@ impl Supervisor {
             return;
         }
         let bytes = Arc::clone(bytes);
-        self.with_out(|out, w| out.push_transfer(w, key, &bytes));
+        let head = Frame::transfer_header(key, bytes.len());
+        self.shared.transfers.fetch_add(1, Ordering::SeqCst);
+        self.with_out(|out, w| out.push_split(w, &head, &bytes));
     }
 
     fn submit(&mut self, job: JobSpec, done: Completion) {
@@ -1292,14 +1378,20 @@ impl Supervisor {
         self.send(&frame);
     }
 
-    fn on_frame(&mut self, epoch: u64, frame: Frame) {
-        if self.conn.as_ref().is_none_or(|c| c.epoch != epoch) {
-            return; // a stale reader's leftovers
+    /// Whether a frame from the reader of `epoch` belongs to the current
+    /// connection (not a stale reader's leftovers); if so, it is proof of
+    /// life.
+    fn heard_from(&mut self, epoch: u64) -> bool {
+        match &mut self.conn {
+            Some(c) if c.epoch == epoch => {
+                c.last_ack = Instant::now();
+                true
+            }
+            _ => false,
         }
-        // Any frame is proof of life.
-        if let Some(c) = &mut self.conn {
-            c.last_ack = Instant::now();
-        }
+    }
+
+    fn on_frame(&mut self, frame: Frame) {
         match frame {
             Frame::Hello {
                 proto,
@@ -1346,31 +1438,6 @@ impl Supervisor {
             Frame::PollAck { busy, .. } => {
                 self.shared.busy.store(busy, Ordering::SeqCst);
             }
-            Frame::Result {
-                task,
-                attempt,
-                generation: _,
-                ok,
-                payload,
-            } => match self.outstanding.remove(&(task, attempt)) {
-                Some(p) => {
-                    self.shared
-                        .dispatch_hist
-                        .lock()
-                        .observe(p.sent_at.elapsed().as_secs_f64());
-                    (p.done)(if ok {
-                        Ok(payload)
-                    } else {
-                        Err(String::from_utf8_lossy(&payload).into_owned())
-                    });
-                }
-                None => {
-                    // A replay from a resurrected connection, a
-                    // duplicate, or an attempt we already failed over.
-                    // Exactly-once resolution = drop it here.
-                    self.shared.stale_results.fetch_add(1, Ordering::SeqCst);
-                }
-            },
             Frame::Telemetry {
                 generation,
                 seq,
@@ -1397,6 +1464,33 @@ impl Supervisor {
             }
             Frame::TransferAck { .. } | Frame::DrainAck { .. } => {}
             _ => {}
+        }
+    }
+
+    fn on_result(&mut self, task: u64, attempt: u32, ok: bool, payload: Arc<Vec<u8>>) {
+        match self.outstanding.remove(&(task, attempt)) {
+            Some(p) => {
+                self.shared
+                    .dispatch_hist
+                    .lock()
+                    .observe(p.sent_at.elapsed().as_secs_f64());
+                if !ok {
+                    (p.done)(Err(String::from_utf8_lossy(&payload).into_owned()));
+                    return;
+                }
+                // The daemon keeps the output as blob `task`: a consumer
+                // placed here ships no TRANSFER for it.
+                if let Some(c) = &mut self.conn {
+                    c.staged.insert(task);
+                }
+                (p.done)(Ok(payload));
+            }
+            None => {
+                // A replay from a resurrected connection, a duplicate, or
+                // an attempt we already failed over. Exactly-once
+                // resolution = drop it here.
+                self.shared.stale_results.fetch_add(1, Ordering::SeqCst);
+            }
         }
     }
 
@@ -1432,7 +1526,25 @@ impl Supervisor {
                                 match Frame::read_from(&mut reader) {
                                     Ok(f) => {
                                         shared.frames_recv.fetch_add(1, Ordering::Relaxed);
-                                        if tx.send(Ev::Frame(epoch, f)).is_err() {
+                                        // Outputs are wrapped here, off the
+                                        // supervisor's serial path.
+                                        let ev = match f {
+                                            Frame::Result {
+                                                task,
+                                                attempt,
+                                                ok,
+                                                payload,
+                                                ..
+                                            } => Ev::Result {
+                                                epoch,
+                                                task,
+                                                attempt,
+                                                ok,
+                                                payload: Arc::new(payload),
+                                            },
+                                            f => Ev::Frame(epoch, f),
+                                        };
+                                        if tx.send(ev).is_err() {
                                             return;
                                         }
                                     }
@@ -1568,7 +1680,7 @@ impl Supervisor {
                 let left = deadline.saturating_duration_since(Instant::now());
                 match self.rx.recv_timeout(left.max(Duration::from_millis(1))) {
                     Ok(Ev::Frame(e, Frame::DrainAck { .. })) if e == epoch => break 'wait,
-                    Ok(Ev::Frame(e, f)) => self.on_frame(e, f),
+                    Ok(ev @ (Ev::Frame(..) | Ev::Result { .. })) => self.handle(ev),
                     Ok(_) | Err(RecvTimeoutError::Timeout) => break 'wait,
                     Err(RecvTimeoutError::Disconnected) => break 'wait,
                 }
@@ -1880,6 +1992,7 @@ impl ProcessFabric {
             respawns: s.respawns.load(Ordering::SeqCst),
             failovers: s.failovers.load(Ordering::SeqCst),
             stale_results: s.stale_results.load(Ordering::SeqCst),
+            transfers: s.transfers.load(Ordering::SeqCst),
         }
     }
 
@@ -2418,7 +2531,8 @@ mod tests {
         // the blob itself.
         let blob = vec![3u8; 2 * COALESCE_BOUND];
         b.push(&mut w, &smalls[0]).unwrap();
-        b.push_transfer(&mut w, 9, &blob).unwrap();
+        b.push_split(&mut w, &Frame::transfer_header(9, blob.len()), &blob)
+            .unwrap();
         assert_eq!(w.writes.len(), 5);
         assert_eq!(w.writes[2], smalls[0].encode());
         assert_eq!(
@@ -2430,7 +2544,8 @@ mod tests {
             .encode()
         );
         // A small TRANSFER joins the batch like any frame.
-        b.push_transfer(&mut w, 4, b"tiny").unwrap();
+        b.push_split(&mut w, &Frame::transfer_header(4, 4), b"tiny")
+            .unwrap();
         // Far more small frames than one write holds: every write stays
         // within the bound and the buffer never grows past it.
         for t in 0..5_000 {
@@ -2470,8 +2585,8 @@ mod tests {
             result(3, 8),
         ];
         let total: usize = batch.iter().map(Frame::encoded_len).sum();
-        let outbox = Mutex::new(VecDeque::from([result(99, 8)]));
-        let mut frames: VecDeque<Frame> = batch.into();
+        let outbox = Mutex::new(VecDeque::from([Outgoing::from(result(99, 8))]));
+        let mut frames: VecDeque<Outgoing> = batch.into_iter().map(Outgoing::from).collect();
         let mut w = TestWriter {
             budget: Some(total / 2),
             ..TestWriter::default()
@@ -2484,17 +2599,16 @@ mod tests {
             &tel
         ));
         assert!(frames.is_empty());
-        let requeued: Vec<Frame> = outbox.lock().drain(..).collect();
-        assert_eq!(
-            requeued,
-            vec![result(1, 8), result(2, 8), result(3, 8), result(99, 8)]
-        );
+        let requeued: Vec<Outgoing> = outbox.lock().drain(..).collect();
+        let want = [result(1, 8), result(2, 8), result(3, 8), result(99, 8)];
+        assert_eq!(requeued, want.map(Outgoing::from));
 
         // Three RESULTs too big to share a write: the first write lands,
         // the second is cut. Only the unconfirmed two come back.
         let big = COALESCE_BOUND / 2 + 1;
-        let mut frames: VecDeque<Frame> =
-            vec![result(1, big), result(2, big), result(3, big)].into();
+        let mut frames: VecDeque<Outgoing> = [result(1, big), result(2, big), result(3, big)]
+            .map(Outgoing::from)
+            .into();
         let mut w = TestWriter {
             budget: Some(result(1, big).encoded_len() + 10),
             ..TestWriter::default()
@@ -2506,8 +2620,11 @@ mod tests {
             &outbox,
             &tel
         ));
-        let requeued: Vec<Frame> = outbox.lock().drain(..).collect();
-        assert_eq!(requeued, vec![result(2, big), result(3, big)]);
+        let requeued: Vec<Outgoing> = outbox.lock().drain(..).collect();
+        assert_eq!(
+            requeued,
+            [result(2, big), result(3, big)].map(Outgoing::from)
+        );
     }
 
     #[test]
@@ -2527,11 +2644,12 @@ mod tests {
         }
         let tel = DaemonTelemetry::new(0, 64);
         tel.level.store(2, Ordering::Relaxed);
-        let mut frames: VecDeque<Frame> = vec![
+        let mut frames: VecDeque<Outgoing> = [
             result(1, 8),
             Frame::TransferAck { key: 1, stored: 8 },
             result(2, 8),
         ]
+        .map(Outgoing::from)
         .into();
         let mut probe = StampProbe(&tel, Vec::new());
         let outbox = Mutex::new(VecDeque::new());
@@ -2564,10 +2682,12 @@ mod tests {
             Frame::Hello { .. }
         ));
         // A TRANSFER larger than the daemon's read buffer, then 200
-        // DISPATCHes, half of them reading the blob.
+        // DISPATCHes, half of them reading the blob. Its key is no task's
+        // id: an ok output takes the key of its task.
         let blob: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let key = 7_000;
         let mut wire = Frame::Transfer {
-            key: 7,
+            key,
             payload: blob.clone(),
         }
         .encode();
@@ -2578,7 +2698,7 @@ mod tests {
                 attempt: 1,
                 generation: 0,
                 function: "fnv".to_string(),
-                deps: if task % 2 == 0 { vec![7] } else { vec![] },
+                deps: if task % 2 == 0 { vec![key] } else { vec![] },
                 payload: task.to_le_bytes().to_vec(),
             }
             .encode_into(&mut wire);
@@ -2602,7 +2722,7 @@ mod tests {
                     assert!(ok, "task {task} failed: {payload:?}");
                     assert!(results.insert(task, payload).is_none(), "task {task} twice");
                 }
-                Frame::TransferAck { key, stored } => assert_eq!((key, stored), (7, 100_000)),
+                Frame::TransferAck { key: k, stored } => assert_eq!((k, stored), (key, 100_000)),
                 other => panic!("unexpected frame {other:?}"),
             }
         }
@@ -2741,7 +2861,7 @@ mod tests {
             let mut got: Vec<(u64, Vec<u8>)> = (0..payloads.len())
                 .map(|_| {
                     let (task, r) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-                    (task, r.unwrap())
+                    (task, r.unwrap().to_vec())
                 })
                 .collect();
             got.sort();
@@ -2859,6 +2979,90 @@ mod tests {
             Frame::read_from(&mut s).unwrap(),
             Frame::DrainAck { .. }
         ));
+        daemon.join().unwrap();
+    }
+
+    /// Sends `frame` and returns the next RESULT as `(ok, payload)`.
+    fn round_trip(s: &mut TcpStream, frame: Frame) -> (bool, Vec<u8>) {
+        frame.write_to(s).unwrap();
+        loop {
+            if let Frame::Result { ok, payload, .. } = Frame::read_from(s).unwrap() {
+                return (ok, payload);
+            }
+        }
+    }
+
+    #[test]
+    fn daemon_keeps_ok_outputs_as_blobs_keyed_by_task() {
+        let daemon = spawn_daemon_thread(DaemonConfig::new("keep", 1)).unwrap();
+        let mut s = TcpStream::connect(daemon.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert!(matches!(
+            Frame::read_from(&mut s).unwrap(),
+            Frame::Hello { .. }
+        ));
+        let run = |task: u64, function: &str, deps: Vec<u64>, payload: &[u8]| Frame::Dispatch {
+            task,
+            attempt: 1,
+            generation: 0,
+            function: function.to_string(),
+            deps,
+            payload: payload.to_vec(),
+        };
+        let (ok, out5) = round_trip(&mut s, run(5, "fnv", vec![], b"five"));
+        assert!(ok);
+        // Task 6 reads task 5's output with no TRANSFER in between.
+        let (ok, out6) = round_trip(&mut s, run(6, "fnv", vec![5], b"six"));
+        assert!(ok, "{}", String::from_utf8_lossy(&out6));
+        let input = [out5.as_slice(), b"six"].concat();
+        assert_eq!(out6, crate::fabric::fnv1a64(&input).to_le_bytes());
+        // A failed attempt leaves no blob behind.
+        let (ok, _) = round_trip(&mut s, run(7, "fail", vec![], b"no"));
+        assert!(!ok);
+        let (ok, err) = round_trip(&mut s, run(8, "echo", vec![7], b""));
+        assert!(!ok);
+        assert!(String::from_utf8_lossy(&err).contains("missing input blob 7"));
+        Frame::Drain.write_to(&mut s).unwrap();
+        daemon.join().unwrap();
+    }
+
+    #[test]
+    fn chain_on_one_endpoint_ships_no_transfer() {
+        let daemon = spawn_daemon_thread(DaemonConfig::new("chain", 1)).unwrap();
+        let fabric = ProcessFabric::new(
+            vec![ProcessEndpointSpec {
+                name: "chain".into(),
+                workers: 1,
+                mode: EndpointMode::Connect {
+                    addr: daemon.addr().to_string(),
+                },
+            }],
+            fast_cfg(7),
+        );
+        assert!(fabric.wait_probe(0, ProbeState::Alive, Duration::from_secs(5)));
+        let run = |task: u64, deps: Vec<u64>| {
+            let (tx, rx) = mpsc::channel();
+            let job = JobSpec {
+                task,
+                attempt: 1,
+                function: Arc::from("fnv"),
+                deps,
+                payload: task.to_le_bytes().to_vec(),
+            };
+            fabric.submit(0, job, Box::new(move |r| tx.send(r).unwrap()));
+            rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap()
+        };
+        let first = run(1, vec![]);
+        // What a runtime does before dispatching a consumer of task 1.
+        fabric.stage(0, 1, &first);
+        let second = run(2, vec![1]);
+        let input = [first.as_slice(), &2u64.to_le_bytes()].concat();
+        assert_eq!(
+            second.as_slice(),
+            crate::fabric::fnv1a64(&input).to_le_bytes()
+        );
+        assert_eq!(fabric.counters(0).transfers, 0);
+        fabric.shutdown();
         daemon.join().unwrap();
     }
 
@@ -3000,8 +3204,8 @@ mod tests {
         );
         let got = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
         assert_eq!(
-            got,
-            crate::fabric::fnv1a64(b"abcxyz").to_le_bytes().to_vec()
+            got.as_slice(),
+            crate::fabric::fnv1a64(b"abcxyz").to_le_bytes()
         );
         assert!(fabric.counters(0).connects >= 1);
         fabric.shutdown();
@@ -3082,8 +3286,11 @@ mod tests {
             Box::new(move |r| tx.send(r).unwrap()),
         );
         assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap(),
-            b"ok".to_vec()
+            rx.recv_timeout(Duration::from_secs(5))
+                .unwrap()
+                .unwrap()
+                .as_slice(),
+            b"ok"
         );
         assert!(fabric.counters(0).connects >= 2, "{:?}", fabric.counters(0));
         fabric.shutdown();

@@ -18,6 +18,7 @@
 //! daemon → client   HELLO          once per connection: identity + generation
 //! client → daemon   TRANSFER       stage an input blob        → TRANSFER_ACK
 //! client → daemon   DISPATCH       run a function attempt     → RESULT
+//!                                  (an ok output is kept as blob `task`)
 //! client → daemon   HEARTBEAT      liveness, seq-numbered,
 //!                                  timestamped for clock sync → HEARTBEAT_ACK
 //! client → daemon   POLL           queue-depth snapshot       → POLL_ACK
@@ -41,8 +42,11 @@ use std::io::{Read, Write};
 /// Protocol revision carried in HELLO; peers with a different revision
 /// must disconnect. Revision 2 added clock-sync timestamps on the
 /// heartbeat exchange, the `generation` span context on DISPATCH/RESULT,
-/// and the TELEMETRY_SUB/TELEMETRY pair.
-pub const PROTO_VERSION: u16 = 2;
+/// and the TELEMETRY_SUB/TELEMETRY pair. Revision 3 changes no frame: a
+/// daemon now keeps every ok RESULT's payload in its blob store under the
+/// task id, and a client relies on that instead of staging the output
+/// back to the endpoint that produced it.
+pub const PROTO_VERSION: u16 = 3;
 
 /// Upper bound on `length` (kind + body). Chosen comfortably above any
 /// real frame so the only way to hit it is corruption or attack; checked
@@ -336,6 +340,27 @@ impl Frame {
         h[4..6].copy_from_slice(&6u16.to_le_bytes());
         h[6..14].copy_from_slice(&key.to_le_bytes());
         h[14..].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        h
+    }
+
+    /// The header of a RESULT frame for a `payload_len`-byte payload: like
+    /// [`Frame::transfer_header`], the frame is these bytes followed by the
+    /// payload, so a daemon can send an output it also keeps without a copy.
+    pub fn result_header(
+        task: u64,
+        attempt: u32,
+        generation: u64,
+        ok: bool,
+        payload_len: usize,
+    ) -> [u8; 31] {
+        let mut h = [0u8; 31];
+        h[..4].copy_from_slice(&((2 + 8 + 4 + 8 + 1 + 4 + payload_len) as u32).to_le_bytes());
+        h[4..6].copy_from_slice(&3u16.to_le_bytes());
+        h[6..14].copy_from_slice(&task.to_le_bytes());
+        h[14..18].copy_from_slice(&attempt.to_le_bytes());
+        h[18..26].copy_from_slice(&generation.to_le_bytes());
+        h[26] = u8::from(ok);
+        h[27..].copy_from_slice(&(payload_len as u32).to_le_bytes());
         h
     }
 

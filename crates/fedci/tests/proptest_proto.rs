@@ -172,6 +172,23 @@ proptest! {
         prop_assert_eq!(borrowed, Frame::Transfer { key, payload }.encode());
     }
 
+    /// A RESULT sent from a shared payload is byte-identical to the owned
+    /// frame.
+    #[test]
+    fn borrowed_result_encoding_matches_owned(
+        task in 0u64..u64::MAX,
+        attempt in 0u32..u32::MAX,
+        generation in 0u64..u64::MAX,
+        ok in 0u8..2,
+        payload in arb_payload(),
+    ) {
+        let ok = ok == 1;
+        let mut borrowed = Frame::result_header(task, attempt, generation, ok, payload.len()).to_vec();
+        borrowed.extend_from_slice(&payload);
+        let owned = Frame::Result { task, attempt, generation, ok, payload };
+        prop_assert_eq!(borrowed, owned.encode());
+    }
+
     /// Concatenated frames stream back in order through `read_from`.
     #[test]
     fn streams_preserve_frame_order(frames in vec(arb_frame(), 1..6)) {
@@ -250,7 +267,10 @@ proptest! {
 fn wire_constants_are_pinned() {
     // Revision 2: clock-sync timestamps on the heartbeat exchange, span
     // context on DISPATCH/RESULT, TELEMETRY_SUB/TELEMETRY frames.
-    assert_eq!(PROTO_VERSION, 2);
+    // Revision 3: no frame changed; a daemon keeps each ok RESULT's payload
+    // as blob `task`, and clients no longer stage outputs back to the
+    // endpoint that produced them.
+    assert_eq!(PROTO_VERSION, 3);
     assert_eq!(MAX_FRAME, 16 * 1024 * 1024);
     const { assert!(TEL_MAX_EVENTS >= 1024) };
     // Kind tags are part of the wire contract; renumbering breaks

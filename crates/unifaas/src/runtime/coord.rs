@@ -28,7 +28,6 @@ use crate::error::UniFaasError;
 use crate::monitor::{HealthMonitor, HealthState};
 use fedci::endpoint::EndpointId;
 use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use taskgraph::TaskId;
@@ -144,13 +143,6 @@ pub(crate) struct PendingTask<B> {
     remaining: usize,
 }
 
-/// A resolved task: where its output lives, its size, and the outcome.
-struct Produced<T> {
-    ep: usize,
-    bytes: u64,
-    result: Result<T, String>,
-}
-
 /// What [`Coord::start`] hands the driver for one attempt.
 pub(crate) struct Attempt<T> {
     pub attempt: u32,
@@ -191,38 +183,38 @@ pub(crate) struct Overdue {
     pub error: String,
 }
 
-/// The coordination tables. See the module docs.
+/// One task's row in the slab; a resolved row keeps only its output.
+struct Slot<B, T> {
+    /// Waiting on dependencies, or kept for re-dispatch while retriable.
+    task: Option<PendingTask<B>>,
+    /// Tasks waiting on this one's output, once per listing.
+    dependents: Vec<usize>,
+    /// The future, which holds the outcome once resolved.
+    future: TaskFuture<T>,
+    /// Once resolved: the endpoint holding the output, and its size.
+    at: Option<(usize, u64)>,
+    /// In flight or next to start (1-based): the generation guard.
+    attempt: u32,
+    /// Index into [`Coord::inflight`] while an attempt is in flight.
+    inflight: Option<u32>,
+}
+
+/// The coordination state: a slab indexed by the dense task id.
 pub(crate) struct Coord<B, T> {
     pub retry: LiveRetryPolicy,
-    pending: HashMap<usize, PendingTask<B>>,
-    dependents: HashMap<usize, Vec<usize>>,
-    produced: HashMap<usize, Produced<T>>,
-    /// Futures of unresolved tasks.
-    futures: HashMap<usize, TaskFuture<T>>,
-    next_id: usize,
+    slots: Vec<Slot<B, T>>,
+    /// In-flight attempts as (task, start, endpoint): the watchdog's scan.
+    inflight: Vec<(usize, Instant, usize)>,
     outstanding: usize,
-    /// Next attempt number per task (absent = first attempt).
-    attempts: HashMap<usize, u32>,
-    /// In-flight attempts: task → (start, attempt, endpoint). The attempt
-    /// number is the generation guard.
-    inflight: HashMap<usize, (Instant, u32, usize)>,
-    /// Tasks kept re-dispatchable while retries are still possible.
-    retriable: HashMap<usize, PendingTask<B>>,
 }
 
 impl<B: Clone, T: Clone> Coord<B, T> {
     pub fn new() -> Self {
         Coord {
             retry: LiveRetryPolicy::default(),
-            pending: HashMap::new(),
-            dependents: HashMap::new(),
-            produced: HashMap::new(),
-            futures: HashMap::new(),
-            next_id: 0,
+            slots: Vec::new(),
+            inflight: Vec::new(),
             outstanding: 0,
-            attempts: HashMap::new(),
-            inflight: HashMap::new(),
-            retriable: HashMap::new(),
         }
     }
 
@@ -238,29 +230,33 @@ impl<B: Clone, T: Clone> Coord<B, T> {
         body: B,
         deps: &[&TaskFuture<T>],
     ) -> (TaskFuture<T>, Option<PendingTask<B>>) {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.slots.len();
         let future = TaskFuture::new(id);
-        self.futures.insert(id, future.clone());
-        self.outstanding += 1;
         let dep_ids: Vec<usize> = deps.iter().map(|d| d.id).collect();
         let mut remaining = 0;
         for &d in &dep_ids {
-            if !self.produced.contains_key(&d) {
-                self.dependents.entry(d).or_default().push(id);
+            let dep = &mut self.slots[d];
+            if dep.at.is_none() {
+                dep.dependents.push(id);
                 remaining += 1;
             }
         }
-        let task = PendingTask {
+        let mut task = Some(PendingTask {
             body,
             dep_ids,
             remaining,
-        };
-        if remaining == 0 {
-            return (future, Some(task));
-        }
-        self.pending.insert(id, task);
-        (future, None)
+        });
+        let ready = if remaining == 0 { task.take() } else { None };
+        self.slots.push(Slot {
+            task,
+            dependents: Vec::new(),
+            future: future.clone(),
+            at: None,
+            attempt: 1,
+            inflight: None,
+        });
+        self.outstanding += 1;
+        (future, ready)
     }
 
     /// Picks an endpoint for `task` among `n_endpoints`. `free_workers(ep)`
@@ -286,9 +282,9 @@ impl<B: Clone, T: Clone> Coord<B, T> {
             let local_bytes: i64 = task
                 .dep_ids
                 .iter()
-                .filter_map(|d| self.produced.get(d))
-                .filter(|p| p.ep == ep)
-                .map(|p| p.bytes as i64)
+                .filter_map(|&d| self.slots[d].at)
+                .filter(|&(at, _)| at == ep)
+                .map(|(_, bytes)| bytes as i64)
                 .sum();
             let key = (free.min(1), local_bytes);
             if best.is_none() || key > best_key {
@@ -309,24 +305,26 @@ impl<B: Clone, T: Clone> Coord<B, T> {
         ep: usize,
         now: Instant,
     ) -> Attempt<T> {
-        let attempt = self.attempts.get(&id).copied().unwrap_or(1);
-        self.inflight.insert(id, (now, attempt, ep));
-        if self.retry.enabled() {
-            self.retriable.insert(id, task.clone());
-        }
+        let slot = &mut self.slots[id];
+        debug_assert!(slot.inflight.is_none(), "task {id} started twice");
+        slot.inflight = Some(self.inflight.len() as u32);
+        self.inflight.push((id, now, ep));
+        let attempt = slot.attempt;
+        slot.task = self.retry.enabled().then(|| task.clone());
         let mut outputs = Vec::with_capacity(task.dep_ids.len());
         let mut remote_bytes = 0;
         for &d in &task.dep_ids {
-            let p = self.produced.get(&d).expect("dependency resolved");
-            if p.ep != ep {
-                remote_bytes += p.bytes;
+            let dep = &self.slots[d];
+            let (at, bytes) = dep.at.expect("dependency resolved");
+            if at != ep {
+                remote_bytes += bytes;
             }
-            match &p.result {
-                Ok(v) => outputs.push(v.clone()),
+            match dep.future.cell.slot.lock().clone().expect("resolved") {
+                Ok(v) => outputs.push(v),
                 Err(e) => {
                     return Attempt {
                         attempt,
-                        inputs: Err((d, e.clone())),
+                        inputs: Err((d, e)),
                         remote_bytes,
                     }
                 }
@@ -351,39 +349,37 @@ impl<B: Clone, T: Clone> Coord<B, T> {
         bytes: u64,
         can_retry: bool,
     ) -> Next<B> {
-        match self.inflight.get(&id) {
-            Some(&(_, a, _)) if a == attempt => {}
+        match self.slots.get(id) {
+            Some(s) if s.attempt == attempt && s.inflight.is_some() => {}
             _ => return Next::Stale,
         }
-        self.inflight.remove(&id);
+        let slot = &mut self.slots[id];
+        let i = slot.inflight.take().expect("in flight") as usize;
+        self.inflight.swap_remove(i);
+        if let Some(&(moved, ..)) = self.inflight.get(i) {
+            self.slots[moved].inflight = Some(i as u32);
+        }
+        let slot = &mut self.slots[id];
         if result.is_err() && can_retry && attempt < self.retry.max_attempts {
-            self.attempts.insert(id, attempt + 1);
-            let task = self.retriable.get(&id).expect("retriable recorded").clone();
+            slot.attempt = attempt + 1;
+            let task = slot.task.clone().expect("retriable recorded");
             return Next::Retry {
                 task,
                 backoff: self.retry.backoff_for(attempt + 1),
             };
         }
-        self.retriable.remove(&id);
-        self.attempts.remove(&id);
+        slot.task = None;
         let failed = result.is_err();
-        let future = self.futures.remove(&id).expect("future exists");
-        self.produced.insert(
-            id,
-            Produced {
-                ep,
-                bytes,
-                result: result.clone(),
-            },
-        );
-        future.resolve(result);
+        slot.at = Some((ep, bytes));
+        slot.future.resolve(result);
         self.outstanding -= 1;
         let mut ready = Vec::new();
-        for dep in self.dependents.remove(&id).unwrap_or_default() {
-            if let Some(t) = self.pending.get_mut(&dep) {
+        for dep in std::mem::take(&mut slot.dependents) {
+            let waiting = &mut self.slots[dep].task;
+            if let Some(t) = waiting {
                 t.remaining -= 1;
                 if t.remaining == 0 {
-                    ready.push((dep, self.pending.remove(&dep).expect("present")));
+                    ready.push((dep, waiting.take().expect("present")));
                 }
             }
         }
@@ -405,13 +401,16 @@ impl<B: Clone, T: Clone> Coord<B, T> {
     ) -> Vec<Overdue> {
         self.inflight
             .iter()
-            .filter(|(_, (start, _, _))| now.saturating_duration_since(*start) >= timeout)
-            .map(|(&id, &(_, attempt, ep))| Overdue {
-                id,
-                ep,
-                attempt,
-                bytes: self.retriable.get(&id).map_or(0, |t| bytes(&t.body)),
-                error: format!("attempt {attempt} timed out after {timeout:?}"),
+            .filter(|(_, start, _)| now.saturating_duration_since(*start) >= timeout)
+            .map(|&(id, _, ep)| {
+                let (attempt, task) = (self.slots[id].attempt, &self.slots[id].task);
+                Overdue {
+                    id,
+                    ep,
+                    attempt,
+                    bytes: task.as_ref().map_or(0, |t| bytes(&t.body)),
+                    error: format!("attempt {attempt} timed out after {timeout:?}"),
+                }
             })
             .collect()
     }
@@ -431,6 +430,10 @@ pub(crate) fn record_outcome(
         health.record_failure(id)
     }
 }
+
+#[cfg(test)]
+#[path = "coord_oracle.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -647,5 +650,240 @@ mod tests {
         assert_eq!(place([None, None, None]), 0);
         let start = c.start(2, &task, 2, Instant::now());
         assert_eq!(start.remote_bytes, 100);
+    }
+    /// The slab and the map-based oracle side by side, driven through the
+    /// same history the way a driver would.
+    struct Twin {
+        slab: Coord<u32, u32>,
+        maps: oracle::MapCoord<u32, u32>,
+        futures: Vec<(TaskFuture<u32>, TaskFuture<u32>)>,
+        /// Tasks ready to start: id, the slab's copy, the oracle's copy.
+        ready: Vec<(usize, PendingTask<u32>, PendingTask<u32>)>,
+        /// Attempts started and not completed: (id, attempt, ep).
+        flying: Vec<(usize, u32, usize)>,
+        /// Every attempt ever started, replayed as stale and duplicate
+        /// results.
+        started: Vec<(usize, u32, usize)>,
+        now: Instant,
+        /// Decisions seen: stale, retry, upstream failure, timeout.
+        seen: [u32; 4],
+    }
+
+    fn same_task(a: &PendingTask<u32>, b: &PendingTask<u32>) {
+        assert_eq!(
+            (a.body, &a.dep_ids, a.remaining),
+            (b.body, &b.dep_ids, b.remaining)
+        );
+    }
+
+    fn outcome(f: &TaskFuture<u32>) -> Option<Result<u32, String>> {
+        f.is_done().then(|| f.wait().map_err(|e| e.to_string()))
+    }
+
+    impl Twin {
+        fn new(retry: LiveRetryPolicy) -> Twin {
+            let mut slab = Coord::new();
+            let mut maps = oracle::MapCoord::new();
+            slab.retry = retry;
+            maps.retry = retry;
+            Twin {
+                slab,
+                maps,
+                futures: Vec::new(),
+                ready: Vec::new(),
+                flying: Vec::new(),
+                started: Vec::new(),
+                now: Instant::now(),
+                seen: [0; 4],
+            }
+        }
+
+        fn submit(&mut self, deps: &[usize]) {
+            let body = self.futures.len() as u32;
+            let a: Vec<_> = deps.iter().map(|&d| &self.futures[d].0).collect();
+            let (fa, ra) = self.slab.submit(body, &a);
+            let b: Vec<_> = deps.iter().map(|&d| &self.futures[d].1).collect();
+            let (fb, rb) = self.maps.submit(body, &b);
+            assert_eq!(fa.id, fb.id);
+            match (ra, rb) {
+                (Some(ta), Some(tb)) => {
+                    same_task(&ta, &tb);
+                    self.ready.push((fa.id, ta, tb));
+                }
+                (None, None) => {}
+                _ => panic!("task {} ready in one coordinator only", fa.id),
+            }
+            self.futures.push((fa, fb));
+        }
+
+        /// Places and starts ready task `k` under the endpoint view
+        /// `view`; a doomed attempt completes as an upstream failure.
+        fn start(&mut self, k: usize, view: [Option<i64>; 3]) {
+            let (id, ta, tb) = self.ready.swap_remove(k);
+            let ep = self.slab.place(&ta, 3, |e| view[e]);
+            assert_eq!(ep, self.maps.place(&tb, 3, |e| view[e]));
+            let a = self.slab.start(id, &ta, ep, self.now);
+            let b = self.maps.start(id, &tb, ep, self.now);
+            assert_eq!(
+                (a.attempt, &a.inputs, a.remote_bytes),
+                (b.attempt, &b.inputs, b.remote_bytes)
+            );
+            self.started.push((id, a.attempt, ep));
+            match a.inputs {
+                Ok(_) => self.flying.push((id, a.attempt, ep)),
+                Err((d, _)) => {
+                    let msg = format!("upstream task {d} failed");
+                    self.complete(id, ep, a.attempt, Err(msg), 0, false);
+                }
+            }
+        }
+
+        fn complete(
+            &mut self,
+            id: usize,
+            ep: usize,
+            attempt: u32,
+            result: Result<u32, String>,
+            bytes: u64,
+            can_retry: bool,
+        ) {
+            let a = self
+                .slab
+                .complete(id, ep, attempt, result.clone(), bytes, can_retry);
+            let b = self
+                .maps
+                .complete(id, ep, attempt, result, bytes, can_retry);
+            let released = match (a, b) {
+                (Next::Stale, Next::Stale) => {
+                    self.seen[0] += 1;
+                    return;
+                }
+                (
+                    Next::Retry {
+                        task: ta,
+                        backoff: ba,
+                    },
+                    Next::Retry {
+                        task: tb,
+                        backoff: bb,
+                    },
+                ) => {
+                    assert_eq!(ba, bb);
+                    self.seen[1] += 1;
+                    vec![(id, ta, tb)]
+                }
+                (
+                    Next::Finalize {
+                        failed: fa,
+                        ran: ra,
+                        ready: a,
+                    },
+                    Next::Finalize {
+                        failed: fb,
+                        ran: rb,
+                        ready: b,
+                    },
+                ) => {
+                    assert_eq!((fa, ra, a.len()), (fb, rb, b.len()));
+                    self.seen[2] += u32::from(!ra);
+                    a.into_iter()
+                        .zip(b)
+                        .map(|((ia, ta), (ib, tb))| {
+                            assert_eq!(ia, ib);
+                            (ia, ta, tb)
+                        })
+                        .collect()
+                }
+                _ => panic!("task {id} attempt {attempt}: the coordinators disagree"),
+            };
+            for (rid, ta, tb) in released {
+                same_task(&ta, &tb);
+                self.ready.push((rid, ta, tb));
+            }
+            self.flying.retain(|f| (f.0, f.1) != (id, attempt));
+        }
+
+        /// Runs the watchdog scan on both, then completes what it found.
+        fn overdue(&mut self, timeout: Duration) {
+            let key = |o: &Overdue| (o.id, o.ep, o.attempt, o.bytes, o.error.clone());
+            let mut a: Vec<_> = self.slab.overdue(self.now, timeout, |b| u64::from(*b));
+            let mut b: Vec<_> = self.maps.overdue(self.now, timeout, |b| u64::from(*b));
+            a.sort_by_key(key);
+            b.sort_by_key(key);
+            assert_eq!(
+                a.iter().map(key).collect::<Vec<_>>(),
+                b.iter().map(key).collect::<Vec<_>>()
+            );
+            self.seen[3] += a.len() as u32;
+            for o in a {
+                self.complete(o.id, o.ep, o.attempt, Err(o.error), o.bytes, true);
+            }
+        }
+
+        fn check_futures(&self) {
+            for (a, b) in &self.futures {
+                assert_eq!(outcome(a), outcome(b), "future {}", a.id);
+            }
+        }
+    }
+
+    #[test]
+    fn slab_matches_the_map_based_oracle_on_random_histories() {
+        use simkit::rng::SimRng;
+        const TIMEOUT: Duration = Duration::from_millis(10);
+        let mut seen = [0; 4];
+        for seed in 0..300u64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut t = Twin::new(LiveRetryPolicy {
+                max_attempts: rng.uniform_usize(1, 4) as u32,
+                task_timeout: Some(TIMEOUT),
+                backoff: Duration::from_millis(rng.uniform_usize(0, 2) as u64),
+            });
+            for _ in 0..400 {
+                t.now += Duration::from_micros(rng.uniform_usize(0, 4000) as u64);
+                let n = t.futures.len();
+                match rng.uniform_usize(0, 10) {
+                    0..=2 => {
+                        let k = if n == 0 { 0 } else { rng.uniform_usize(0, 4) };
+                        let deps: Vec<usize> = (0..k).map(|_| rng.uniform_usize(0, n)).collect();
+                        t.submit(&deps);
+                    }
+                    3..=4 if !t.ready.is_empty() => {
+                        let k = rng.uniform_usize(0, t.ready.len());
+                        let mut view = [None; 3];
+                        for v in &mut view {
+                            *v = rng.chance(0.8).then(|| rng.uniform_usize(0, 3) as i64 - 1);
+                        }
+                        t.start(k, view);
+                    }
+                    5..=6 if !t.flying.is_empty() => {
+                        let (id, attempt, ep) = t.flying[rng.uniform_usize(0, t.flying.len())];
+                        let result = if rng.chance(0.6) {
+                            Ok(rng.uniform_usize(0, 1000) as u32)
+                        } else {
+                            Err(format!("error {id}/{attempt}"))
+                        };
+                        let bytes = rng.uniform_usize(0, 100) as u64;
+                        t.complete(id, ep, attempt, result, bytes, true);
+                    }
+                    // A replayed, duplicate or superseded result; or one
+                    // for a task nobody submitted.
+                    7 if !t.started.is_empty() => {
+                        let (id, attempt, ep) = t.started[rng.uniform_usize(0, t.started.len())];
+                        t.complete(id, ep, attempt, Ok(99), 1, true);
+                    }
+                    7 => t.complete(n + 3, 0, 1, Ok(0), 0, true),
+                    8 => t.overdue(TIMEOUT),
+                    _ => {}
+                }
+                assert_eq!(t.slab.outstanding(), t.maps.outstanding());
+            }
+            t.check_futures();
+            for (s, n) in seen.iter_mut().zip(t.seen) {
+                *s += n;
+            }
+        }
+        // Every kind of decision the drivers act on came up.
+        assert!(seen.iter().all(|&n| n > 100), "{seen:?}");
     }
 }

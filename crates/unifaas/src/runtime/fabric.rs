@@ -38,13 +38,13 @@ use fedci::fabric::{Fabric, JobSpec, ProbeState};
 use parking_lot::{Condvar, Mutex};
 use simkit::time::SimTime;
 use simkit::trace::{LabelId, TraceLevel, Tracer};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 pub use crate::runtime::coord::LiveRetryPolicy;
 
 /// Result bytes of one task.
-pub type WireResult = Result<Arc<Vec<u8>>, String>;
+pub type WireResult = fedci::fabric::JobOutput;
 
 /// A handle to the eventual byte result of a fabric task.
 pub type WireFuture = TaskFuture<Arc<Vec<u8>>>;
@@ -160,6 +160,9 @@ struct Inner {
     fabric: Arc<dyn Fabric>,
     state: Mutex<State>,
     done_cond: Condvar,
+    /// Read-held by each completion from its decision until its records
+    /// land (see `Inner::complete`).
+    recording: RwLock<()>,
     health: Mutex<HealthMonitor>,
     trace: Option<ClientTrace>,
 }
@@ -181,6 +184,7 @@ impl FabricRuntime {
                     stats: FabricRunStats::default(),
                 }),
                 done_cond: Condvar::new(),
+                recording: RwLock::new(()),
                 health: Mutex::new(HealthMonitor::new(n)),
                 trace: None,
             }),
@@ -263,6 +267,19 @@ impl FabricRuntime {
     /// [`HealthMonitor`] (Dead ⇒ Down, Alive again ⇒ Recovering), which
     /// is how heartbeat-detected crashes steer placement.
     pub fn wait_all(&self) {
+        self.watch();
+        // The completions that resolved the last tasks may still be
+        // recording them.
+        drop(
+            self.inner
+                .recording
+                .write()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+    }
+
+    /// [`FabricRuntime::wait_all`] up to the last resolution.
+    fn watch(&self) {
         let inner = &self.inner;
         let timeout = inner.state.lock().coord.retry.task_timeout;
         let Some(timeout) = timeout else {
@@ -336,7 +353,7 @@ impl Inner {
     ) {
         let ok = result.is_ok();
         let bytes = result.as_ref().map_or(0, |b| b.len() as u64);
-        let next = {
+        let (next, recording) = {
             let mut state = self.state.lock();
             let next = state
                 .coord
@@ -346,10 +363,17 @@ impl Inner {
                 Next::Retry { .. } => state.stats.retries += 1,
                 Next::Finalize { .. } => state.stats.completed += 1,
             }
+            // Taken before the lock drops and held until this completion's
+            // records and health update land: `wait_all` takes the write
+            // side before it returns, so it never returns ahead of them.
+            let recording = self
+                .recording
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
             if state.coord.outstanding() == 0 {
                 self.done_cond.notify_all();
             }
-            next
+            (next, recording)
         };
         if let Some(tr) = &self.trace {
             tr.end(tr.labels.attempt, attempt_span_id(id, attempt));
@@ -362,6 +386,7 @@ impl Inner {
                     tr.instant(tr.labels.retry, id as u64, i64::from(attempt + 1));
                 }
                 record_outcome(&mut self.health.lock(), ep, false);
+                drop(recording);
                 match backoff {
                     // The completion runs on a fabric thread (often the
                     // endpoint supervisor) — sleeping there would stall
@@ -384,6 +409,7 @@ impl Inner {
                 if ran {
                     record_outcome(&mut self.health.lock(), ep, !failed);
                 }
+                drop(recording);
                 for (rid, task) in ready {
                     self.dispatch(rid, task);
                 }
@@ -436,7 +462,7 @@ impl Inner {
             ep,
             job,
             Box::new(move |result| {
-                this.complete(id, ep, attempt, result.map(Arc::new), true);
+                this.complete(id, ep, attempt, result, true);
             }),
         );
     }

@@ -38,7 +38,7 @@ use simkit::trace::{LabelId, Tracer};
 use simkit::SimTime;
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 pub use crate::runtime::coord::LiveRetryPolicy;
@@ -110,6 +110,9 @@ struct Shared {
     endpoints: Vec<ThreadedEndpoint>,
     coord: Mutex<Coord<Body, Value>>,
     done_cond: Condvar,
+    /// Read-held by each completion from its decision until its records
+    /// land (see `Shared::complete`).
+    recording: RwLock<()>,
     /// Simulated WAN bandwidth in bytes/second: moving inputs produced on
     /// another endpoint costs real wall time. `None` disables it.
     transfer_bandwidth_bps: Option<f64>,
@@ -146,6 +149,7 @@ impl LiveRuntime {
                 endpoints: pools,
                 coord: Mutex::new(Coord::new()),
                 done_cond: Condvar::new(),
+                recording: RwLock::new(()),
                 transfer_bandwidth_bps: None,
                 trace: None,
                 health: Mutex::new(HealthMonitor::new(n)),
@@ -315,6 +319,19 @@ impl LiveRuntime {
     /// attempts swallowed by a crashed worker, which would otherwise never
     /// complete).
     pub fn wait_all(&self) {
+        self.watch();
+        // The completions that resolved the last tasks may still be
+        // recording them.
+        drop(
+            self.shared
+                .recording
+                .write()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+    }
+
+    /// [`LiveRuntime::wait_all`] up to the last resolution.
+    fn watch(&self) {
         let sh = &self.shared;
         let timeout = sh.coord.lock().retry.task_timeout;
         let Some(timeout) = timeout else {
@@ -410,13 +427,22 @@ impl Shared {
         bytes: u64,
         can_retry: bool,
     ) {
-        let next = {
+        let (next, recording) = {
             let mut coord = self.coord.lock();
             let next = coord.complete(id, ep, attempt, result, bytes, can_retry);
+            if matches!(next, Next::Stale) {
+                return;
+            }
+            // Held until this completion's records and health update land;
+            // `wait_all` takes the write side before it returns.
+            let recording = self
+                .recording
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
             if coord.outstanding() == 0 {
                 self.done_cond.notify_all();
             }
-            next
+            (next, recording)
         };
         match next {
             Next::Stale => {}
@@ -428,6 +454,7 @@ impl Shared {
                         .instant(at, retry, track, id as u64, attempt as i64);
                 });
                 self.record_health(ep, false);
+                drop(recording);
                 self.dispatch(id, task, backoff);
             }
             Next::Finalize { failed, ran, ready } => {
@@ -435,6 +462,7 @@ impl Shared {
                 if ran {
                     self.record_health(ep, !failed);
                 }
+                drop(recording);
                 for (rid, task) in ready {
                     self.dispatch(rid, task, None);
                 }
